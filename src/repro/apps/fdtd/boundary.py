@@ -32,13 +32,11 @@ import numpy as np
 
 from repro.apps.fdtd.constants import C0
 from repro.apps.fdtd.grid import UPDATE_TRIMS, YeeGrid
-from repro.apps.fdtd.update import shift_region, split_region
 from repro.errors import FDTDError
 
 __all__ = [
     "MUR_FACES",
     "mur_face_regions",
-    "split_mur_regions",
     "Mur1",
     "mur_coefficient",
 ]
@@ -85,45 +83,6 @@ def mur_face_regions(
             face.append(slice(n, n + 1))
             inward.append(slice(n - 1, n))
     return tuple(face), tuple(inward)
-
-
-def split_mur_regions(regions, strips):
-    """Split a Mur region dict into ``(shell, interior)`` dicts along
-    the communication strips (the overlap refinement).
-
-    A face piece belongs to the *shell* pass when either its face cells
-    or their inward partners lie in a communication strip: face cells
-    in a strip are sent to a neighbour, so their Mur update must
-    precede the sends; inward partners in a strip are E cells updated
-    (and possibly source-driven) during the shell pass, so reading them
-    from the interior pass would see shell-pass source writes the
-    baseline ordering performs *after* every Mur read.  Both hazards
-    are excluded by augmenting the strips with their images shifted
-    back along the face normal before carving.  Keys gain a piece
-    index (``(comp, axis, side, i)``); :class:`Mur1` only ever uses the
-    first two key elements, so split and unsplit dicts drive it alike.
-    """
-    shell = {}
-    interior = {}
-    for key, pair in regions.items():
-        if pair is None:
-            continue
-        comp, axis = key[0], key[1]
-        face, inward = pair
-        delta = inward[axis].start - face[axis].start
-        augmented = list(strips)
-        for saxis, lo, hi in strips:
-            if saxis == axis:
-                augmented.append((saxis, lo - delta, hi - delta))
-        face_shell, face_interior = split_region(face, augmented)
-        for i, piece in enumerate(face_shell):
-            shell[key[:3] + (i,)] = (piece, shift_region(piece, axis, delta))
-        for i, piece in enumerate(face_interior):
-            interior[key[:3] + (i,)] = (
-                piece,
-                shift_region(piece, axis, delta),
-            )
-    return shell, interior
 
 
 @dataclass
@@ -185,7 +144,7 @@ class Mur1:
         if not self._recorded:
             raise FDTDError("Mur1.apply called without a preceding record")
         for key, (face, inward) in self.regions.items():
-            comp, axis = key[0], key[1]
+            comp, axis, _ = key
             arr = arrays[comp]
             state = self._state[key]
             arr[face] = state.inward_old + self.coef[axis] * (

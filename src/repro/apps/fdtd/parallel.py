@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.fdtd.boundary import (
-    MUR_FACES,
-    Mur1,
-    mur_face_regions,
-    split_mur_regions,
-)
+from repro.apps.fdtd.boundary import MUR_FACES, Mur1, mur_face_regions
 from repro.apps.fdtd.grid import (
     COMPONENTS,
     E_COMPONENTS,
@@ -53,10 +48,8 @@ from repro.apps.fdtd.grid import (
 from repro.apps.fdtd.ntff import NTFFAccumulator, NTFFConfig
 from repro.apps.fdtd.update import (
     KernelScratch,
-    comm_strips,
     intersect_local,
     local_update_regions,
-    split_local_update_regions,
     update_e,
     update_h,
 )
@@ -154,117 +147,6 @@ def _mur_local_regions(grid: YeeGrid, decomp: BlockDecomposition, rank: int):
     return out
 
 
-def _overlap_time_loop(
-    builder: MeshProgramBuilder,
-    config: FDTDConfig,
-    decomp: BlockDecomposition,
-    grid: YeeGrid,
-    inv_spacing: tuple[float, float, float],
-    scratches: list[KernelScratch],
-    accumulators,
-) -> None:
-    """Append the overlapped (shell/interior split) time loop.
-
-    Each phase's cells are partitioned into the communication-strip
-    shell and the interior; each combined exchange is split into a
-    begin (send) and end (receive) stage with the opposite phase's
-    interior pass between them.  The local blocks between a begin and
-    its end touch neither the strips the begin staged nor the ghosts
-    the end writes, so by the infinite-slack refinement argument
-    (:mod:`repro.refinement.split`) every engine computes bitwise the
-    same fields as the unsplit program.
-    """
-    nprocs = decomp.nprocs
-    strips_by_rank = [comm_strips(decomp, r) for r in range(nprocs)]
-    shell_regions: list[dict] = []
-    interior_regions: list[dict] = []
-    for r in range(nprocs):
-        sh, it = split_local_update_regions(grid, decomp, r)
-        shell_regions.append(sh)
-        interior_regions.append(it)
-
-    murs_shell = murs_interior = None
-    if config.boundary == "mur1":
-        murs_shell, murs_interior = [], []
-        for r in range(nprocs):
-            sh, it = split_mur_regions(
-                _mur_local_regions(grid, decomp, r), strips_by_rank[r]
-            )
-            murs_shell.append(Mur1(grid, sh))
-            murs_interior.append(Mur1(grid, it))
-
-    shell_sources: dict[int, list] = {}
-    interior_sources: dict[int, list] = {}
-    for src in config.sources:
-        for r in range(nprocs):
-            sh, it = src.make_split_local_appliers(
-                grid, decomp, r, strips_by_rank[r]
-            )
-            if sh is not None:
-                shell_sources.setdefault(r, []).append(sh)
-            if it is not None:
-                interior_sources.setdefault(r, []).append(it)
-
-    def e_pass(murs, regions, sources):
-        def run(store: AddressSpace, rank: int, step: int) -> None:
-            mur = murs[rank] if murs is not None else None
-            if mur is not None:
-                mur.record(store)
-            update_e(store, regions[rank], inv_spacing, scratches[rank])
-            if mur is not None:
-                mur.apply(store)
-            for apply_source in sources.get(rank, ()):
-                apply_source(store, step)
-
-        return run
-
-    e_shell = e_pass(murs_shell, shell_regions, shell_sources)
-    e_interior = e_pass(murs_interior, interior_regions, interior_sources)
-
-    def h_shell(store: AddressSpace, rank: int, step: int) -> None:
-        update_h(store, shell_regions[rank], inv_spacing, scratches[rank])
-
-    def h_interior(store: AddressSpace, rank: int, step: int) -> None:
-        update_h(store, interior_regions[rank], inv_spacing, scratches[rank])
-        if accumulators is not None:
-            accumulators[rank].accumulate_into(
-                store, step, store["ffA"], store["ffF"]
-            )
-
-    # Prologue: the first step's H ghosts can fly before the loop.
-    h_begin = (
-        builder.begin_exchange_boundaries(*H_COMPONENTS)
-        if config.steps
-        else None
-    )
-    for step in range(config.steps):
-        builder.end_exchange_boundaries(h_begin)
-        builder.grid_spmd(
-            lambda store, rank, _n=step: e_shell(store, rank, _n),
-            name=f"E-shell[{step}]",
-        )
-        e_begin = builder.begin_exchange_boundaries(*E_COMPONENTS)
-        builder.grid_spmd(
-            lambda store, rank, _n=step: e_interior(store, rank, _n),
-            name=f"E-interior[{step}]",
-        )
-        builder.end_exchange_boundaries(e_begin)
-        builder.grid_spmd(
-            lambda store, rank, _n=step: h_shell(store, rank, _n),
-            name=f"H-shell[{step}]",
-        )
-        # The last step's H strips feed no one: no epilogue exchange.
-        h_begin = (
-            builder.begin_exchange_boundaries(*H_COMPONENTS)
-            if step < config.steps - 1
-            else None
-        )
-        builder.grid_spmd(
-            lambda store, rank, _n=step: h_interior(store, rank, _n),
-            name=f"H-interior[{step}]",
-        )
-
-
 @dataclass
 class ParallelFDTD:
     """Handle to a parallelized FDTD program (both versions)."""
@@ -275,7 +157,6 @@ class ParallelFDTD:
     version: str
     ntff_config: NTFFConfig | None = None
     ntff_bins: int = 0
-    overlap: bool = False
     backend: str = "numpy"
 
     @property
@@ -334,7 +215,6 @@ def build_parallel_fdtd(
     include_io_stages: bool = False,
     compensated_farfield: bool = False,
     batch_exchanges: bool = False,
-    overlap: bool = False,
     backend: str = "numpy",
 ) -> ParallelFDTD:
     """Parallelize an FDTD configuration over a 3-D process grid.
@@ -359,28 +239,6 @@ def build_parallel_fdtd(
     summation instead of a plain rank-order fold, making the parallel
     far field accurate to ~1 ulp of the exact double sum and therefore
     nearly independent of the process count.
-
-    ``overlap=True`` selects the compute/communication overlap
-    refinement: every update phase is split into a *shell* pass over
-    the communication strips and an *interior* pass over the rest, and
-    every boundary exchange into a begin (send) and end (receive)
-    stage, so the interior sweep runs while the ghost frames are in
-    flight.  Per-step stage order::
-
-        recv H ghosts            (from the previous step's send)
-        E-shell:    Mur record/update/apply + sources on the strips
-        send E strips
-        E-interior: Mur record/update/apply + sources elsewhere
-        recv E ghosts
-        H-shell:    H update on the strips
-        send H strips            (skipped on the last step)
-        H-interior: H update elsewhere + far-field accumulation
-
-    Sends only move earlier and receives later relative to the same
-    data dependencies, and the passes partition each phase's cells
-    exactly, so the results are bitwise identical to ``overlap=False``
-    on every engine.  Overlap always coalesces each phase's components
-    into one combined exchange (it subsumes ``batch_exchanges``).
 
     ``backend`` names the array namespace
     (:func:`repro.xp.get_backend`) the update kernels run on —
@@ -458,44 +316,34 @@ def build_parallel_fdtd(
     # either way the steady-state step loop allocates no temporaries.
     scratches = [KernelScratch(backend) for _ in range(decomp.nprocs)]
 
-    if overlap:
-        _overlap_time_loop(
-            builder, config, decomp, grid, inv_spacing, scratches, accumulators
+    def e_phase(store: AddressSpace, rank: int, step: int) -> None:
+        mur = murs[rank] if murs is not None else None
+        if mur is not None:
+            mur.record(store)
+        update_e(store, regions_by_rank[rank], inv_spacing, scratches[rank])
+        if mur is not None:
+            mur.apply(store)
+        for apply_source in sources_by_rank.get(rank, ()):
+            apply_source(store, step)
+
+    def h_phase(store: AddressSpace, rank: int, step: int) -> None:
+        update_h(store, regions_by_rank[rank], inv_spacing, scratches[rank])
+        if accumulators is not None:
+            accumulators[rank].accumulate_into(
+                store, step, store["ffA"], store["ffF"]
+            )
+
+    for step in range(config.steps):
+        builder.exchange_boundaries(*H_COMPONENTS, batch=batch_exchanges)
+        builder.grid_spmd(
+            lambda store, rank, _n=step: e_phase(store, rank, _n),
+            name=f"E-phase[{step}]",
         )
-    else:
-
-        def e_phase(store: AddressSpace, rank: int, step: int) -> None:
-            mur = murs[rank] if murs is not None else None
-            if mur is not None:
-                mur.record(store)
-            update_e(
-                store, regions_by_rank[rank], inv_spacing, scratches[rank]
-            )
-            if mur is not None:
-                mur.apply(store)
-            for apply_source in sources_by_rank.get(rank, ()):
-                apply_source(store, step)
-
-        def h_phase(store: AddressSpace, rank: int, step: int) -> None:
-            update_h(
-                store, regions_by_rank[rank], inv_spacing, scratches[rank]
-            )
-            if accumulators is not None:
-                accumulators[rank].accumulate_into(
-                    store, step, store["ffA"], store["ffF"]
-                )
-
-        for step in range(config.steps):
-            builder.exchange_boundaries(*H_COMPONENTS, batch=batch_exchanges)
-            builder.grid_spmd(
-                lambda store, rank, _n=step: e_phase(store, rank, _n),
-                name=f"E-phase[{step}]",
-            )
-            builder.exchange_boundaries(*E_COMPONENTS, batch=batch_exchanges)
-            builder.grid_spmd(
-                lambda store, rank, _n=step: h_phase(store, rank, _n),
-                name=f"H-phase[{step}]",
-            )
+        builder.exchange_boundaries(*E_COMPONENTS, batch=batch_exchanges)
+        builder.grid_spmd(
+            lambda store, rank, _n=step: h_phase(store, rank, _n),
+            name=f"H-phase[{step}]",
+        )
 
     # ---- epilogue: reductions and collection ------------------------------
     if version == "C":
@@ -524,6 +372,5 @@ def build_parallel_fdtd(
         version=version,
         ntff_config=ntff,
         ntff_bins=nbins,
-        overlap=overlap,
         backend=backend,
     )

@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 
-def _index_in_strips(index, strips) -> bool:
-    """Whether a local node index falls inside any communication strip."""
-    return any(lo <= index[axis] < hi for axis, lo, hi in strips)
-
-
 @dataclass(frozen=True)
 class GaussianPulse:
     """``exp(-((n - delay)/spread)^2)`` in units of time *steps*."""
@@ -139,24 +134,6 @@ class PointSource:
 
         return apply
 
-    def make_split_local_appliers(self, grid: YeeGrid, decomp, rank: int, strips):
-        """``(shell_apply, interior_apply)`` for the overlap refinement.
-
-        A point source drives exactly one node, so the whole applier
-        goes to whichever pass updates that node: the shell pass when
-        the node sits in a communication strip, the interior pass
-        otherwise.  Exactly one of the pair is non-``None`` (both are
-        ``None`` off-rank), and the drive arithmetic is untouched — only
-        *when* within the step it runs changes.
-        """
-        apply = self.make_local_applier(grid, decomp, rank)
-        if apply is None:
-            return None, None
-        local = decomp.global_to_local(rank, self.index)
-        if _index_in_strips(local, strips):
-            return apply, None
-        return None, apply
-
 
 @dataclass(frozen=True)
 class PlaneSource:
@@ -233,38 +210,6 @@ class PlaneSource:
             store[comp][local] += self.value(step)
 
         return apply
-
-    def make_split_local_appliers(self, grid: YeeGrid, decomp, rank: int, strips):
-        """``(shell_apply, interior_apply)`` for the overlap refinement.
-
-        The rank's slice of the driven plane is carved along the
-        communication strips; each pass drives only its own pieces.
-        The pieces partition the slice, so every node still receives
-        exactly one ``+=`` per step — same value, same cell, different
-        moment within the step.  Either element is ``None`` when its
-        piece list is empty.
-        """
-        from repro.apps.fdtd.update import intersect_local, split_region
-
-        local = intersect_local(decomp, rank, self.global_region(grid))
-        if local is None:
-            return None, None
-        comp = self.component
-        shell_pieces, interior_pieces = split_region(local, strips)
-
-        def make(pieces):
-            if not pieces:
-                return None
-
-            def apply(store, step: int) -> None:
-                v = self.value(step)
-                arr = store[comp]
-                for piece in pieces:
-                    arr[piece] += v
-
-            return apply
-
-        return make(shell_pieces), make(interior_pieces)
 
 
 @dataclass(frozen=True)

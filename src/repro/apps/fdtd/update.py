@@ -43,9 +43,6 @@ __all__ = [
     "update_h",
     "intersect_local",
     "local_update_regions",
-    "comm_strips",
-    "split_region",
-    "split_local_update_regions",
 ]
 
 #: component -> (field_a, axis_a, field_b, axis_b): update is
@@ -211,19 +208,9 @@ def curl_update(
     xp.copyto(view, s2)
 
 
-def _region_pieces(region) -> list[tuple[slice, ...]]:
-    """Normalize a region entry: ``None`` → no pieces, one region → one
-    piece, a list of regions (the shell/interior split) → its pieces."""
-    if region is None:
-        return []
-    if isinstance(region, list):
-        return region
-    return [region]
-
-
 def update_e(
     arrays: Mapping[str, np.ndarray],
-    regions: Mapping[str, tuple[slice, ...] | list | None],
+    regions: Mapping[str, tuple[slice, ...] | None],
     inv_spacing: tuple[float, float, float],
     scratch: KernelScratch | None = None,
     xp=None,
@@ -233,15 +220,14 @@ def update_e(
     ``arrays`` maps ``ex..hz`` plus coefficient names ``ca_ex`` /
     ``cb_ex`` etc. to arrays (global or ghosted-local alike); a region
     of ``None`` means this caller updates nothing for that component
-    (a rank whose block misses the component's update range), and a
-    *list* of regions (the overlap refinement's shell pieces) updates
-    each piece in order — the pieces are disjoint, so any order gives
-    bitwise the same fields.  ``scratch`` (one per caller) selects the
-    allocation-free path; ``xp`` the array namespace.
+    (a rank whose block misses the component's update range).
+    ``scratch`` (one per caller) selects the allocation-free path;
+    ``xp`` the array namespace.
     """
     for comp in E_COMPONENTS:
         fa, axis_a, fb, axis_b = E_CURL[comp]
-        for region in _region_pieces(regions[comp]):
+        region = regions[comp]
+        if region is not None:
             curl_update(
                 arrays[comp],
                 arrays[f"ca_{comp}"],
@@ -261,7 +247,7 @@ def update_e(
 
 def update_h(
     arrays: Mapping[str, np.ndarray],
-    regions: Mapping[str, tuple[slice, ...] | list | None],
+    regions: Mapping[str, tuple[slice, ...] | None],
     inv_spacing: tuple[float, float, float],
     scratch: KernelScratch | None = None,
     xp=None,
@@ -269,7 +255,8 @@ def update_h(
     """One H half-step over the given per-component regions."""
     for comp in H_COMPONENTS:
         fa, axis_a, fb, axis_b = H_CURL[comp]
-        for region in _region_pieces(regions[comp]):
+        region = regions[comp]
+        if region is not None:
             curl_update(
                 arrays[comp],
                 arrays[f"da_{comp}"],
@@ -318,96 +305,3 @@ def local_update_regions(
         comp: intersect_local(decomp, rank, grid.update_region(comp))
         for comp in UPDATE_TRIMS
     }
-
-
-# ---------------------------------------------------------------------------
-# Shell/interior splitting (the compute/communication overlap refinement)
-# ---------------------------------------------------------------------------
-
-#: one communication strip: owned cells at local indices [lo, hi) along
-#: ``axis`` — exactly the slab whose values travel to a neighbour rank.
-Strip = tuple[int, int, int]
-
-
-def comm_strips(decomp: BlockDecomposition, rank: int) -> list[Strip]:
-    """The rank's owned slabs adjacent to inter-rank faces, in local
-    (ghosted) indices.
-
-    For every axis/side with a real neighbour (physical-boundary sides
-    have none), the ghost protocol sends the ``ghost``-deep plane of
-    owned cells next to that face; these are precisely the cells that
-    must be final before the sends of a step can fly, and the cells
-    whose one-off-the-edge reads touch ghost data — the *shell* of the
-    overlap refinement.  Everything outside every strip is *interior*:
-    it neither feeds a message nor reads a ghost, so it can compute
-    while the messages are in flight.
-    """
-    g = decomp.ghost
-    strips: list[Strip] = []
-    for axis, (a, b) in enumerate(decomp.owned_bounds(rank)):
-        extent = b - a
-        if decomp.pgrid.neighbor(rank, axis, -1) is not None:
-            strips.append((axis, g, g + g))
-        if decomp.pgrid.neighbor(rank, axis, 1) is not None:
-            strips.append((axis, g + extent - g, g + extent))
-    return strips
-
-
-def split_region(
-    region: tuple[slice, ...] | None, strips: list[Strip]
-) -> tuple[list[tuple[slice, ...]], list[tuple[slice, ...]]]:
-    """Split a local region into ``(shell_pieces, interior_pieces)``.
-
-    The shell is the intersection of the region with the union of the
-    strips, carved into disjoint boxes by peeling one strip at a time;
-    the interior is what remains.  Together the pieces tile the region
-    exactly — every cell appears in exactly one piece — so updating the
-    pieces in any order is elementwise identical to one update of the
-    whole region.
-    """
-    if region is None:
-        return [], []
-    shells: list[tuple[slice, ...]] = []
-    boxes: list[list[tuple[int, int]]] = [
-        [(s.start, s.stop) for s in region]
-    ]
-    for axis, lo, hi in strips:
-        next_boxes: list[list[tuple[int, int]]] = []
-        for box in boxes:
-            a, b = box[axis]
-            cut_lo, cut_hi = max(a, lo), min(b, hi)
-            if cut_lo >= cut_hi:
-                next_boxes.append(box)
-                continue
-            piece = list(box)
-            piece[axis] = (cut_lo, cut_hi)
-            shells.append(tuple(slice(p, q) for p, q in piece))
-            if a < cut_lo:  # remainder below the strip
-                below = list(box)
-                below[axis] = (a, cut_lo)
-                next_boxes.append(below)
-            if cut_hi < b:  # remainder above the strip
-                above = list(box)
-                above[axis] = (cut_hi, b)
-                next_boxes.append(above)
-        boxes = next_boxes
-    interior = [tuple(slice(p, q) for p, q in box) for box in boxes]
-    return shells, interior
-
-
-def split_local_update_regions(
-    grid: YeeGrid, decomp: BlockDecomposition, rank: int
-) -> tuple[
-    dict[str, list[tuple[slice, ...]]], dict[str, list[tuple[slice, ...]]]
-]:
-    """Per-component ``(shell, interior)`` update-region pieces for one
-    rank — :func:`local_update_regions` split along the communication
-    strips.  With no inter-rank neighbours (a 1×1×1 decomposition) the
-    shell is empty and the interior is the whole region, so the
-    overlapped program degenerates to the baseline."""
-    strips = comm_strips(decomp, rank)
-    shell: dict[str, list[tuple[slice, ...]]] = {}
-    interior: dict[str, list[tuple[slice, ...]]] = {}
-    for comp, region in local_update_regions(grid, decomp, rank).items():
-        shell[comp], interior[comp] = split_region(region, strips)
-    return shell, interior

@@ -25,13 +25,11 @@ from repro.archetypes.mesh.decomposition import BlockDecomposition
 from repro.archetypes.mesh.ghost import ghost_face_region, owned_face_region
 from repro.obs.observer import observer_of
 from repro.refinement.dataexchange import DataExchange, VarRef
-from repro.refinement.split import ExchangeBegin, ExchangeEnd, split_exchange
 from repro.runtime.communicator import Communicator
 
 __all__ = [
     "boundary_exchange_op",
     "boundary_exchange_multi_op",
-    "boundary_exchange_split",
     "boundary_exchange_ops_with_corners",
     "exchange_boundaries_msg",
 ]
@@ -111,33 +109,6 @@ def boundary_exchange_multi_op(
         receivers.add(rank + rank_offset)
     op.participants = frozenset(receivers)
     return op
-
-
-def boundary_exchange_split(
-    decomp: BlockDecomposition,
-    variables,
-    name: str = "",
-    rank_offset: int = 0,
-) -> tuple[ExchangeBegin, ExchangeEnd] | tuple[None, None]:
-    """The combined boundary exchange as a *split* begin/end stage pair
-    — the mesh archetype's compute/communication overlap form.
-
-    The operation is exactly :func:`boundary_exchange_multi_op` (one
-    frame per neighbour pair); splitting changes only *when* each half
-    runs.  The begin stage reads the owned strips and launches the
-    sends; the caller then appends interior-only local blocks (which by
-    construction touch neither the strips just read nor the ghost cells
-    about to be written); the end stage receives into the ghost strips
-    at the point of first use.  With a single process there are no
-    faces and no stages: returns ``(None, None)`` so builders can skip
-    the pair the same way they skip an empty exchange.
-    """
-    op = boundary_exchange_multi_op(
-        decomp, variables, name=name, rank_offset=rank_offset
-    )
-    if not op.assignments:
-        return None, None
-    return split_exchange(op)
 
 
 def boundary_exchange_ops_with_corners(

@@ -33,7 +33,6 @@ from repro.archetypes.mesh.exchange import (
     boundary_exchange_multi_op,
     boundary_exchange_op,
     boundary_exchange_ops_with_corners,
-    boundary_exchange_split,
 )
 from repro.archetypes.mesh.gio import collect_stage, distribute_stage
 from repro.archetypes.mesh.reduction import (
@@ -76,8 +75,6 @@ class MeshProgramBuilder:
         self.name = name
         self._decls: dict[str, _Decl] = {}
         self._stages: list = []
-        #: end halves of split exchanges awaiting end_exchange_boundaries
-        self._pending_ends: dict[int, Any] = {}
 
     # -- declarations ---------------------------------------------------------------
 
@@ -196,44 +193,6 @@ class MeshProgramBuilder:
                 op = boundary_exchange_op(self.decomp, var)
                 if op.assignments:
                     self._stages.append(op)
-        return self
-
-    def begin_exchange_boundaries(self, *variables: str):
-        """The *begin* half of a split (overlapped) boundary exchange.
-
-        Emits the send side of one combined exchange for ``variables``
-        and returns a handle for :meth:`end_exchange_boundaries`.  The
-        stages appended between begin and end run while the ghost
-        frames are in flight; they must not touch the exchanged strips
-        or ghosts (the shell/interior split of
-        :func:`repro.apps.fdtd.update.split_local_update_regions`
-        guarantees this for mesh sweeps).  Returns ``None`` when the
-        decomposition has no inter-rank faces; pass it to
-        :meth:`end_exchange_boundaries` anyway — both halves skip
-        uniformly, and the program degenerates to the unsplit form.
-        """
-        for var in variables:
-            self._check_kind(var, "distributed")
-        begin, end = boundary_exchange_split(self.decomp, variables)
-        if begin is None:
-            return None
-        self._stages.append(begin)
-        self._pending_ends[id(begin)] = end
-        return begin
-
-    def end_exchange_boundaries(self, begin) -> "MeshProgramBuilder":
-        """The *end* half of a split boundary exchange: receive into the
-        ghost strips.  ``begin`` is the handle from
-        :meth:`begin_exchange_boundaries` (``None`` is a no-op)."""
-        if begin is None:
-            return self
-        end = self._pending_ends.pop(id(begin), None)
-        if end is None:
-            raise ArchetypeError(
-                "end_exchange_boundaries: unknown or already-ended begin "
-                f"handle {begin.name!r}"
-            )
-        self._stages.append(end)
         return self
 
     def distribute(self, *variables: str) -> "MeshProgramBuilder":

@@ -19,8 +19,7 @@ observability layer on (see docs/OBSERVABILITY.md): per-process
 compute/blocked time, per-channel traffic and queue high-water marks,
 rank x rank communication matrices, measured-vs-modeled comparison,
 and Chrome-trace + JSONL exports.  Both ``stats`` and ``trace`` accept
-``--overlap`` (instrument the overlapped shell/interior program; see
-docs/ENGINES.md "Overlap refinement") and ``--backend numpy|cupy``.
+``--backend numpy|cupy``.
 
 ``trace <e1|e2>`` runs one experiment with causal tracing on (Lamport
 clocks carried in every message; see docs/OBSERVABILITY.md "Causal
@@ -38,8 +37,7 @@ docs/ENGINES.md) and writes ``benchmarks/BENCH_engines.json``;
 ``--repeat N``, ``--start-method fork|spawn``, ``--engines a,b,...``,
 ``--affinity auto|0,1,...`` (pin multiprocess workers),
 ``--payload-slab BYTES`` (zero-copy staging slab size; 0 disables),
-``--overlap off|on|both`` (compute/communication overlap rows; default
-both), ``--backend numpy|cupy`` (array backend), ``--out FILE``.
+``--backend numpy|cupy`` (array backend), ``--out FILE``.
 
 ``serve-bench`` benchmarks job-level serving on the worker pool (the
 :class:`~repro.dist.serve.JobServer`; see docs/ENGINES.md "Serving"):
@@ -98,6 +96,14 @@ __all__ = ["main"]
 def _header(title: str) -> str:
     bar = "=" * len(title)
     return f"\n{bar}\n{title}\n{bar}\n"
+
+
+def _parse_pshape(spec: str) -> tuple[int, ...] | None:
+    """``"2x2x1"`` (or ``"2,2,1"``) as a tuple; ``None`` if malformed."""
+    parts = spec.replace(",", "x").split("x")
+    if not all(p.isdigit() for p in parts):
+        return None
+    return tuple(int(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +725,7 @@ def run_rcs(out=print) -> bool:
 
 
 def _stats_build(
-    experiment: str,
-    pshape: tuple[int, ...],
-    overlap: bool = False,
-    backend: str = "numpy",
+    experiment: str, pshape: tuple[int, ...], backend: str = "numpy"
 ):
     """Build the ParallelFDTD handle for one stats-able experiment."""
     from repro.apps.fdtd import (
@@ -750,9 +753,7 @@ def _stats_build(
                 PointSource("ez", (4, 7, 6), GaussianPulse(delay=10, spread=3))
             ],
         )
-        return build_parallel_fdtd(
-            config, pshape, version="A", overlap=overlap, backend=backend
-        )
+        return build_parallel_fdtd(config, pshape, version="A", backend=backend)
     if experiment == "e2":
         grid = YeeGrid(shape=(16, 15, 14))
         config = FDTDConfig(
@@ -767,7 +768,6 @@ def _stats_build(
             pshape,
             version="C",
             ntff=NTFFConfig(gap=3),
-            overlap=overlap,
             backend=backend,
         )
     raise ValueError(
@@ -786,10 +786,7 @@ def run_stats(args: list[str], out=print) -> bool:
     Options: ``--pshape AxBxC`` (default 2x2x1), ``--engine
     cooperative|threaded|multiprocess|multiprocess+pool|socket``
     (default threaded), ``--hosts host:port,...`` (socket engine:
-    external worker daemons), ``--overlap`` (run the overlapped
-    shell/interior program — the measured-vs-modeled comparison is
-    skipped, as the per-variable message model does not describe the
-    combined split exchanges), ``--backend numpy|cupy`` (array
+    external worker daemons), ``--backend numpy|cupy`` (array
     backend), ``--outdir DIR`` (default ``runs``), ``--bench FILE``
     (also write a benchmark baseline JSON).
     """
@@ -805,7 +802,6 @@ def run_stats(args: list[str], out=print) -> bool:
     hosts = None
     outdir = Path("runs")
     bench_path = None
-    overlap = False
     backend = "numpy"
     rest = list(args)
     if rest and not rest[0].startswith("-"):
@@ -813,13 +809,15 @@ def run_stats(args: list[str], out=print) -> bool:
     while rest:
         flag = rest.pop(0)
         if flag == "--pshape" and rest:
-            pshape = tuple(int(p) for p in rest.pop(0).replace(",", "x").split("x"))
+            spec = rest.pop(0)
+            pshape = _parse_pshape(spec)
+            if pshape is None:
+                out(f"bad --pshape {spec!r} (expected AxBxC)")
+                return False
         elif flag == "--engine" and rest:
             engine_name = rest.pop(0)
         elif flag == "--hosts" and rest:
             hosts = rest.pop(0)
-        elif flag == "--overlap":
-            overlap = True
         elif flag == "--backend" and rest:
             backend = rest.pop(0)
         elif flag == "--outdir" and rest:
@@ -832,7 +830,7 @@ def run_stats(args: list[str], out=print) -> bool:
 
     out(_header(f"stats: instrumented {experiment} run"))
     try:
-        par = _stats_build(experiment, pshape, overlap=overlap, backend=backend)
+        par = _stats_build(experiment, pshape, backend=backend)
     except ValueError as exc:
         out(str(exc))
         return False
@@ -851,7 +849,7 @@ def run_stats(args: list[str], out=print) -> bool:
         f"experiment={experiment}  grid={par.config.grid.shape}  "
         f"steps={par.config.steps}  pshape={pshape}  "
         f"version={par.version}  engine={engine.name}  "
-        f"overlap={overlap}  backend={backend}\n"
+        f"backend={backend}\n"
     )
     try:
         result = engine.run(par.to_parallel())
@@ -860,31 +858,17 @@ def run_stats(args: list[str], out=print) -> bool:
     report = result.report
     out(report.summary())
 
-    if overlap:
-        # The cost model counts one message per variable per exchange;
-        # the overlapped program deliberately coalesces each phase's
-        # components into one combined split exchange, so the
-        # per-variable comparison does not describe it.
-        out(
-            "\nmeasured vs cost-model predictions: skipped under "
-            "--overlap (combined split exchanges are outside the "
-            "per-variable message model)"
-        )
-        agree = True
-    else:
-        comparison = fdtd_model_comparison(par, report)
-        out("\nmeasured vs cost-model predictions (E3/E4 loop closure):")
-        out(comparison.table())
-        agree = comparison.agreement()
-        out(
-            "agreement: exact"
-            if agree
-            else "agreement: MISMATCH — model and implementation have diverged"
-        )
+    comparison = fdtd_model_comparison(par, report)
+    out("\nmeasured vs cost-model predictions (E3/E4 loop closure):")
+    out(comparison.table())
+    agree = comparison.agreement()
+    out(
+        "agreement: exact"
+        if agree
+        else "agreement: MISMATCH — model and implementation have diverged"
+    )
 
     stem = f"stats_{experiment}_{'x'.join(map(str, pshape))}_{engine.name}"
-    if overlap:
-        stem += "_overlap"
     trace_path = write_chrome_trace(report, outdir / f"{stem}.trace.json")
     jsonl_path = write_jsonl(report, outdir / f"{stem}.jsonl")
     out(f"\nwrote {trace_path} (chrome://tracing / Perfetto)")
@@ -897,7 +881,6 @@ def run_stats(args: list[str], out=print) -> bool:
             "grid_shape": list(par.config.grid.shape),
             "steps": par.config.steps,
             "pshape": list(pshape),
-            "overlap": overlap,
             "backend": backend,
             "nprocs": report.nprocs,
             "total_messages": report.total_messages(),
@@ -947,8 +930,7 @@ def run_trace(args: list[str], out=print) -> bool:
     Options: ``--pshape AxBxC`` (default 2x2x1), ``--engine
     cooperative|threaded|multiprocess|multiprocess+pool|socket``
     (default multiprocess), ``--hosts host:port,...`` (socket engine:
-    external worker daemons), ``--overlap`` (trace the overlapped
-    shell/interior program), ``--backend numpy|cupy`` (array backend),
+    external worker daemons), ``--backend numpy|cupy`` (array backend),
     ``--out FILE`` (write the causal trace as JSON), ``--chrome FILE``
     (write a Chrome trace whose send→recv pairs become flow-event
     arrows), ``--limit N`` (timeline rows printed; default 48,
@@ -967,7 +949,6 @@ def run_trace(args: list[str], out=print) -> bool:
     out_path = None
     chrome_path = None
     limit = 48
-    overlap = False
     backend = "numpy"
     rest = list(args)
     if rest and not rest[0].startswith("-"):
@@ -975,20 +956,22 @@ def run_trace(args: list[str], out=print) -> bool:
     while rest:
         flag = rest.pop(0)
         if flag == "--pshape" and rest:
-            pshape = tuple(int(p) for p in rest.pop(0).replace(",", "x").split("x"))
+            spec = rest.pop(0)
+            pshape = _parse_pshape(spec)
+            if pshape is None:
+                out(f"bad --pshape {spec!r} (expected AxBxC)")
+                return False
         elif flag == "--engine" and rest:
             engine_name = rest.pop(0)
         elif flag == "--hosts" and rest:
             hosts = rest.pop(0)
-        elif flag == "--overlap":
-            overlap = True
         elif flag == "--backend" and rest:
             backend = rest.pop(0)
         elif flag == "--out" and rest:
             out_path = Path(rest.pop(0))
         elif flag == "--chrome" and rest:
             chrome_path = Path(rest.pop(0))
-        elif flag == "--limit" and rest:
+        elif flag == "--limit" and rest and rest[0].isdigit():
             limit = int(rest.pop(0))
         else:
             out(f"unknown or incomplete trace option {flag!r}")
@@ -996,7 +979,7 @@ def run_trace(args: list[str], out=print) -> bool:
 
     out(_header(f"trace: causal {experiment} run"))
     try:
-        par = _stats_build(experiment, pshape, overlap=overlap, backend=backend)
+        par = _stats_build(experiment, pshape, backend=backend)
     except ValueError as exc:
         out(str(exc))
         return False
@@ -1016,7 +999,7 @@ def run_trace(args: list[str], out=print) -> bool:
         f"experiment={experiment}  grid={par.config.grid.shape}  "
         f"steps={par.config.steps}  pshape={pshape}  "
         f"version={par.version}  engine={engine.name}  "
-        f"overlap={overlap}  backend={backend}\n"
+        f"backend={backend}\n"
     )
     try:
         result = engine.run(par.to_parallel())

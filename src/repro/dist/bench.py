@@ -18,15 +18,8 @@ benchmarked by default:
   field components of one ghost exchange fold into a single wire frame
   per neighbour pair, which the ``frames`` column makes visible.
 
-With ``--overlap both`` (the default) every engine row is measured
-twice — on the baseline program and on the overlapped shell/interior
-program (``build_parallel_fdtd(..., overlap=True)``; see
-docs/ENGINES.md "Overlap refinement") — with per-row bitwise identity
-against the sequential fields; an extra *observed* run per engine
-records the per-rank compute/blocked split into the ``observed``
-block.  The ``overlap_beats_baseline_ge_1p15x`` (multiprocess+pool,
-Version A, 4 ranks) and ``overlap_lowers_blocked_time`` checks are
-recorded always and enforced on multi-core hosts outside smoke.
+Every row records whether its near fields are bitwise identical to
+the sequential code's (``near_identical_to_sequential``).
 ``--backend numpy|cupy`` selects the array namespace the kernels run
 on (:mod:`repro.xp`); rows record it in the ``backend`` column.
 
@@ -154,7 +147,6 @@ def _build(
     steps: int,
     pshape: tuple,
     batch=False,
-    overlap=False,
     backend="numpy",
 ):
     from repro.apps.fdtd import (
@@ -184,7 +176,6 @@ def _build(
         version=version,
         ntff=ntff,
         batch_exchanges=batch,
-        overlap=overlap,
         backend=backend,
     )
 
@@ -270,7 +261,6 @@ def run_bench(args: list[str], out=print) -> bool:
     payload_slab = None  # None = engine default (DEFAULT_SLAB)
     hosts = None
     daemons = 2
-    overlap_arg = "both"
     backend = "numpy"
     rest = list(args)
     while rest:
@@ -289,8 +279,6 @@ def run_bench(args: list[str], out=print) -> bool:
             hosts = rest.pop(0)
         elif flag == "--daemons" and rest:
             daemons = int(rest.pop(0))
-        elif flag == "--overlap" and rest:
-            overlap_arg = rest.pop(0)
         elif flag == "--backend" and rest:
             backend = rest.pop(0)
         elif flag == "--affinity" and rest:
@@ -303,13 +291,6 @@ def run_bench(args: list[str], out=print) -> bool:
         else:
             out(f"unknown or incomplete bench option {flag!r}")
             return False
-
-    if overlap_arg not in ("off", "on", "both"):
-        out(f"--overlap must be off|on|both, not {overlap_arg!r}")
-        return False
-    overlap_modes = {"off": [False], "on": [True], "both": [False, True]}[
-        overlap_arg
-    ]
 
     cases = SMOKE_CASES if smoke else FULL_CASES
     pshapes = SMOKE_PSHAPES if smoke else FULL_PSHAPES
@@ -324,7 +305,7 @@ def run_bench(args: list[str], out=print) -> bool:
         f"engines={','.join(engines)}  pshapes={pshapes}  repeat={repeat}  "
         f"multiprocess start method={start_method}  cores={os.cpu_count()}  "
         f"affinity={affinity}  payload_slab={payload_slab}  "
-        f"overlap={overlap_arg}  backend={backend}\n"
+        f"backend={backend}\n"
     )
 
     results: list[dict[str, Any]] = []
@@ -332,12 +313,7 @@ def run_bench(args: list[str], out=print) -> bool:
     for version, shape, steps, note in cases:
         seq_fields = _sequential_fields(version, shape, steps)
         for pshape in pshapes:
-            progs = {
-                ov: _build(
-                    version, shape, steps, pshape, overlap=ov, backend=backend
-                )
-                for ov in overlap_modes
-            }
+            par = _build(version, shape, steps, pshape, backend=backend)
             par_batch = None
             if any("batch" in _parse_engine(e)[1] for e in engines):
                 par_batch = _build(
@@ -346,20 +322,9 @@ def run_bench(args: list[str], out=print) -> bool:
             ranks = int(np.prod(pshape))
             reference_fields = None  # threaded result, per case
             per_engine_fields = {}
-            for engine_name, overlap_flag in (
-                (e, ov) for ov in overlap_modes for e in engines
-            ):
+            for engine_name in engines:
                 _, mods = _parse_engine(engine_name)
-                if "batch" in mods:
-                    # The overlapped program already coalesces each
-                    # phase's exchange into one frame per neighbour, so
-                    # a separate batch variant only exists at overlap
-                    # off.
-                    if overlap_flag:
-                        continue
-                    prog = par_batch
-                else:
-                    prog = progs[overlap_flag]
+                prog = par_batch if "batch" in mods else par
                 engine = _make_engine(
                     engine_name, start_method, payload_slab, affinity,
                     hosts=hosts, daemons=daemons,
@@ -395,7 +360,7 @@ def run_bench(args: list[str], out=print) -> bool:
                     if close is not None:
                         close()
                 fields = _fields_of(prog, result.stores)
-                per_engine_fields[(engine_name, overlap_flag)] = fields
+                per_engine_fields[engine_name] = fields
                 near_ok = _identical(fields, seq_fields)
                 all_ok &= near_ok
                 frames = getattr(result, "channel_frames", {})
@@ -407,7 +372,6 @@ def run_bench(args: list[str], out=print) -> bool:
                     "ranks": ranks,
                     "nprocs": ranks + 1,  # + host process
                     "engine": engine_name,
-                    "overlap": overlap_flag,
                     "backend": backend,
                     "transport": _transport_of(engine_name),
                     "start_method": (
@@ -466,15 +430,14 @@ def run_bench(args: list[str], out=print) -> bool:
                 if engine_name == "threaded" and reference_fields is None:
                     reference_fields = fields
             # Cross-backend equality (Theorem 1, now across engines —
-            # including the pooled, batched and overlapped variants).
+            # including the pooled and batched variants).
             if reference_fields is not None:
-                for (engine_name, ov), fields in per_engine_fields.items():
+                for engine_name, fields in per_engine_fields.items():
                     same = _identical(fields, reference_fields)
                     all_ok &= same
                     if not same:
                         out(
-                            f"MISMATCH: V{version} {pshape} {engine_name}"
-                            f"{' overlap' if ov else ''} "
+                            f"MISMATCH: V{version} {pshape} {engine_name} "
                             "differs from threaded"
                         )
 
@@ -484,7 +447,6 @@ def run_bench(args: list[str], out=print) -> bool:
             "x".join(map(str, r["grid"])),
             "x".join(map(str, r["pshape"])),
             r["engine"],
-            "on" if r["overlap"] else "off",
             f"{r['run_s'] * 1e3:.1f}",
             f"{r['startup_s'] * 1e3:.1f}",
             f"{r['runs_total_s'] * 1e3:.1f}",
@@ -500,7 +462,6 @@ def run_bench(args: list[str], out=print) -> bool:
                 "grid",
                 "pshape",
                 "engine",
-                "overlap",
                 "run ms",
                 "startup ms",
                 "all-runs ms",
@@ -511,17 +472,11 @@ def run_bench(args: list[str], out=print) -> bool:
         )
     )
 
-    # The long-standing engine-vs-engine checks compare the *baseline*
-    # (overlap off) rows; overlap rows get their own checks below.
-    def _rows_of(engine_name, overlap=False):
-        return [
-            r
-            for r in results
-            if r["engine"] == engine_name and r["overlap"] == overlap
-        ]
+    def _rows_of(engine_name):
+        return [r for r in results if r["engine"] == engine_name]
 
-    def _row_at(engine_name, version, pshape, overlap=False):
-        for r in _rows_of(engine_name, overlap):
+    def _row_at(engine_name, version, pshape):
+        for r in _rows_of(engine_name):
             if r["version"] == version and tuple(r["pshape"]) == pshape:
                 return r
         return None
@@ -621,115 +576,6 @@ def run_bench(args: list[str], out=print) -> bool:
             )
             all_ok &= pooled < boot
 
-    # Overlap checks: moving sends earlier and receives later only buys
-    # wall time where there is real concurrency to hide communication
-    # in, so the throughput and blocked-time checks are recorded always
-    # but enforced only on multi-core hosts (and outside smoke, whose
-    # grids are noise-sized).
-    observed = []
-    if len(overlap_modes) == 2:
-        multicore = bool(os.cpu_count() and os.cpu_count() > 1)
-        enforce = multicore and not smoke
-        check_pshape = (2, 2, 1) if (2, 2, 1) in pshapes else pshapes[0]
-
-        base_row = _row_at("multiprocess+pool", "A", check_pshape)
-        over_row = _row_at(
-            "multiprocess+pool", "A", check_pshape, overlap=True
-        )
-        if base_row is not None and over_row is not None:
-            speedup = base_row["run_s"] / over_row["run_s"]
-            checks["overlap_speedup_multiprocess_pool"] = round(speedup, 4)
-            checks["overlap_beats_baseline_ge_1p15x"] = speedup >= 1.15
-            checks["overlap_checks_enforced"] = enforce
-            out(
-                f"\noverlap speedup (multiprocess+pool, Version A, "
-                f"{'x'.join(map(str, check_pshape))}): {speedup:.2f}x "
-                + ("(enforced)" if enforce else "(recorded only)")
-            )
-            if enforce:
-                all_ok &= speedup >= 1.15
-
-        # Compute/blocked split: one extra *observed* run per engine and
-        # overlap mode, so the refinement's effect shows up in the
-        # telemetry, not just the wall clock.
-        from repro.runtime import make_engine
-
-        obs_engines = [
-            e for e in ("threaded", "multiprocess+pool") if e in engines
-        ]
-        obs_case = next((c for c in cases if c[0] == "A"), None)
-        if obs_engines and obs_case is not None:
-            _, obs_shape, obs_steps, _ = obs_case
-            for engine_name in obs_engines:
-                for ov in (False, True):
-                    prog = _build(
-                        "A",
-                        obs_shape,
-                        obs_steps,
-                        check_pshape,
-                        overlap=ov,
-                        backend=backend,
-                    )
-                    kwargs: dict[str, Any] = {"observe": True}
-                    if engine_name.startswith("multiprocess"):
-                        kwargs.update(
-                            start_method=start_method, affinity=affinity
-                        )
-                    engine = make_engine(engine_name, **kwargs)
-                    try:
-                        engine.run(prog.to_parallel())  # warm-up
-                        result = engine.run(prog.to_parallel())
-                    finally:
-                        close = getattr(engine, "close", None)
-                        if close is not None:
-                            close()
-                    report = result.report
-                    grid_procs = [
-                        p for p in report.processes if p.rank != prog.host
-                    ]
-                    n = len(grid_procs) or 1
-                    observed.append(
-                        {
-                            "engine": engine_name,
-                            "version": "A",
-                            "pshape": list(check_pshape),
-                            "overlap": ov,
-                            "backend": backend,
-                            "blocked_s_per_rank_mean": round(
-                                sum(p.blocked for p in grid_procs) / n, 6
-                            ),
-                            "compute_s_per_rank_mean": round(
-                                sum(p.compute for p in grid_procs) / n, 6
-                            ),
-                        }
-                    )
-
-        def _obs_at(engine_name, ov):
-            for r in observed:
-                if r["engine"] == engine_name and r["overlap"] == ov:
-                    return r
-            return None
-
-        for engine_name in ("multiprocess+pool", "threaded"):
-            b, o = _obs_at(engine_name, False), _obs_at(engine_name, True)
-            if b is None or o is None:
-                continue
-            bb = b["blocked_s_per_rank_mean"]
-            ob = o["blocked_s_per_rank_mean"]
-            out(
-                f"blocked time per rank ({engine_name}): "
-                f"{bb * 1e3:.1f} ms off -> {ob * 1e3:.1f} ms on"
-            )
-            if "overlap_lowers_blocked_time" not in checks:
-                # First engine with both rows (preferring the OS-process
-                # backend) carries the enforced check.
-                checks["overlap_lowers_blocked_time"] = ob < bb
-                checks["overlap_blocked_ratio"] = round(
-                    ob / bb, 4
-                ) if bb else None
-                if enforce:
-                    all_ok &= ob < bb
-
     checks["all_near_fields_identical"] = all(
         r["near_identical_to_sequential"] for r in results
     )
@@ -739,7 +585,6 @@ def run_bench(args: list[str], out=print) -> bool:
             "smoke": smoke,
             "repeat": repeat,
             "start_method": start_method,
-            "overlap_modes": overlap_arg,
             "backend": backend,
             "engines": engines,
             "transports": sorted({_transport_of(e) for e in engines}),
@@ -779,7 +624,6 @@ def run_bench(args: list[str], out=print) -> bool:
             ),
         },
         "results": results,
-        "observed": observed,
         "checks": checks,
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -121,9 +121,9 @@ class SocketChannel(ProcChannel):
         one gather syscall.
 
         Back-to-back sends that queued while a previous write blocked
-        on the kernel (batched ghost exchanges, overlap prologue sends)
-        drain as a single vectored write — the frame bytes are
-        identical to draining them one value at a time.
+        on the kernel (batched ghost exchanges) drain as a single
+        vectored write — the frame bytes are identical to draining
+        them one value at a time.
         """
         frames: list = []
         for header, buffers, clock in items:

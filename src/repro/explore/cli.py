@@ -208,10 +208,18 @@ def run_explore(args: list[str]) -> int:
         print(str(exc))
         return 2
 
+    from repro.explore.fixtures import build_target
+
+    try:
+        for target in opts["targets"]:
+            build_target(target)
+    except ReproError as exc:
+        print(str(exc))
+        return 2
+
     if opts["engine"] and opts["engine"] != "cooperative":
         return _sweep(opts, plan)
 
-    from repro.explore.fixtures import build_target
     from repro.explore.report import save_artifact
     from repro.explore.strategies import explore_dfs, explore_walk
 

@@ -27,9 +27,8 @@ Targets:
 ``pipeline``            The pipeline archetype's hand-written streaming form
                         (3 stages x 6 items).
 ``dc``                  Divide-and-conquer mergesort at 8 leaves.
-``e1`` / ``e1-overlap`` Experiment 1's FDTD program (Version A) on a small
-                        grid over a 2x2x1 process mesh plus host, without /
-                        with the compute-communication overlap refinement.
+``e1``                  Experiment 1's FDTD program (Version A) on a small
+                        grid over a 2x2x1 process mesh plus host.
 ======================  =====================================================
 """
 
@@ -215,7 +214,7 @@ def dc_target() -> System:
     return builder.to_parallel()
 
 
-def e1_target(overlap: bool = False) -> System:
+def e1_target() -> System:
     from repro.apps.fdtd import (
         FDTDConfig,
         GaussianPulse,
@@ -231,7 +230,7 @@ def e1_target(overlap: bool = False) -> System:
             PointSource("ez", (3, 2, 2), GaussianPulse(delay=4, spread=2))
         ],
     )
-    par = build_parallel_fdtd(config, (2, 2, 1), version="A", overlap=overlap)
+    par = build_parallel_fdtd(config, (2, 2, 1), version="A")
     return par.to_parallel()
 
 
@@ -249,10 +248,6 @@ _TARGETS: dict[str, tuple[str, Callable[[], System]]] = {
     "e1": (
         "experiment 1 FDTD, 2x2x1 mesh + host, small grid",
         e1_target,
-    ),
-    "e1-overlap": (
-        "experiment 1 FDTD with compute/communication overlap",
-        lambda: e1_target(overlap=True),
     ),
 }
 

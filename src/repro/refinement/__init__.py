@@ -29,7 +29,6 @@ effort proxy (experiment E7).
 from repro.refinement.store import AddressSpace, make_stores
 from repro.refinement.dataexchange import Assignment, DataExchange, VarRef
 from repro.refinement.program import LocalBlock, SimulatedParallelProgram
-from repro.refinement.split import ExchangeBegin, ExchangeEnd, split_exchange
 from repro.refinement.transform import to_parallel_system
 from repro.refinement.checker import (
     ComparisonReport,
@@ -48,9 +47,6 @@ __all__ = [
     "DataExchange",
     "LocalBlock",
     "SimulatedParallelProgram",
-    "ExchangeBegin",
-    "ExchangeEnd",
-    "split_exchange",
     "to_parallel_system",
     "ComparisonReport",
     "compare_stores",

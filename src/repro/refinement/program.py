@@ -20,7 +20,6 @@ from typing import Any, Callable, Sequence, Union
 
 from repro.errors import RefinementError
 from repro.refinement.dataexchange import DataExchange
-from repro.refinement.split import ExchangeBegin, ExchangeEnd
 from repro.refinement.store import AddressSpace, make_stores
 
 __all__ = ["LocalBlock", "SimulatedParallelProgram"]
@@ -81,7 +80,7 @@ class LocalBlock:
                 fn(stores[rank])
 
 
-Stage = Union[LocalBlock, DataExchange, ExchangeBegin, ExchangeEnd]
+Stage = Union[LocalBlock, DataExchange]
 
 
 def _fuse_local_blocks(first: LocalBlock, second: LocalBlock) -> LocalBlock:
@@ -167,42 +166,14 @@ class SimulatedParallelProgram:
         self.stages.append(op)
         return self
 
-    def begin_exchange(self, op: DataExchange, name: str = "") -> ExchangeBegin:
-        """Append the *begin* half of a split exchange; returns the
-        begin stage, whose end half must later go through
-        :meth:`end_exchange`.  This is the overlap refinement: local
-        blocks appended between the two halves run while the exchange's
-        messages are in flight."""
-        from repro.refinement.split import split_exchange
-
-        begin, _ = split_exchange(op, name=name)
-        self.stages.append(begin)
-        return begin
-
-    def end_exchange(self, begin: ExchangeBegin) -> "SimulatedParallelProgram":
-        """Append the *end* half of a split exchange (chainable)."""
-        self.stages.append(ExchangeEnd(begin))
-        return self
-
     # -- structure ---------------------------------------------------------------
 
     def local_blocks(self) -> list[LocalBlock]:
         return [s for s in self.stages if isinstance(s, LocalBlock)]
 
     def exchanges(self) -> list[DataExchange]:
-        """Every data-exchange operation, in stage order.
-
-        A split begin/end pair shares one operation; it is reported once
-        (at its begin stage), so metrics and channel wiring never double
-        count.
-        """
-        out: list[DataExchange] = []
-        for s in self.stages:
-            if isinstance(s, DataExchange):
-                out.append(s)
-            elif isinstance(s, ExchangeBegin):
-                out.append(s.op)
-        return out
+        """Every data-exchange operation, in stage order."""
+        return [s for s in self.stages if isinstance(s, DataExchange)]
 
     def is_strictly_alternating(self) -> bool:
         """True iff stages strictly alternate local / exchange.
@@ -242,42 +213,9 @@ class SimulatedParallelProgram:
         )
 
     def validate(self, stores: Sequence[AddressSpace] | None = None) -> None:
-        """Validate every data-exchange stage against the restrictions.
-
-        Split stages are additionally checked structurally: each begin
-        must be followed (later, not necessarily adjacently) by exactly
-        one end referring to it, and each end's begin must come earlier
-        — the sequential order that makes the split a refinement.
-        """
-        open_begins: list[ExchangeBegin] = []
-        seen_begins: set[int] = set()
-        for stage in self.stages:
-            if isinstance(stage, DataExchange):
-                stage.validate(nprocs=self.nprocs, stores=stores)
-            elif isinstance(stage, ExchangeBegin):
-                stage.op.validate(nprocs=self.nprocs, stores=stores)
-                open_begins.append(stage)
-                seen_begins.add(id(stage))
-            elif isinstance(stage, ExchangeEnd):
-                if id(stage.begin) not in seen_begins:
-                    raise RefinementError(
-                        f"program {self.name!r}: exchange end "
-                        f"{stage.name!r} precedes its begin stage (or the "
-                        "begin is missing)"
-                    )
-                matches = [b for b in open_begins if b is stage.begin]
-                if not matches:
-                    raise RefinementError(
-                        f"program {self.name!r}: exchange begin "
-                        f"{stage.begin.name!r} has more than one end stage"
-                    )
-                open_begins = [b for b in open_begins if b is not stage.begin]
-        if open_begins:
-            names = [b.name for b in open_begins]
-            raise RefinementError(
-                f"program {self.name!r}: exchange begins {names} have no "
-                "matching end stage"
-            )
+        """Validate every data-exchange stage against the restrictions."""
+        for stage in self.exchanges():
+            stage.validate(nprocs=self.nprocs, stores=stores)
 
     # -- execution ---------------------------------------------------------------
 
@@ -302,16 +240,9 @@ class SimulatedParallelProgram:
                 f"{len(stores)}"
             )
         for stage in self.stages:
-            if isinstance(stage, DataExchange):
-                if validate:
-                    stage.validate(nprocs=self.nprocs, stores=stores)
-                stage.apply(stores)
-            elif isinstance(stage, ExchangeBegin):
-                if validate:
-                    stage.op.validate(nprocs=self.nprocs, stores=stores)
-                stage.apply(stores)
-            else:
-                stage.apply(stores)
+            if validate and isinstance(stage, DataExchange):
+                stage.validate(nprocs=self.nprocs, stores=stores)
+            stage.apply(stores)
         return list(stores)
 
     def describe(self) -> str:
@@ -323,15 +254,6 @@ class SimulatedParallelProgram:
                     f"  {i:3d} exchange {stage.name!r} ({n} assignments, "
                     f"{len(stage.message_pairs())} message pairs)"
                 )
-            elif isinstance(stage, ExchangeBegin):
-                op = stage.op
-                lines.append(
-                    f"  {i:3d} ex-begin {stage.name!r} "
-                    f"({len(op.assignments)} assignments, "
-                    f"{len(op.message_pairs())} message pairs)"
-                )
-            elif isinstance(stage, ExchangeEnd):
-                lines.append(f"  {i:3d} ex-end   {stage.name!r}")
             else:
                 lines.append(f"  {i:3d} local    {stage.name!r}")
         return "\n".join(lines)

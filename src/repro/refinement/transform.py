@@ -32,7 +32,6 @@ from typing import Any
 from repro.errors import RefinementError
 from repro.refinement.dataexchange import DataExchange
 from repro.refinement.program import LocalBlock, SimulatedParallelProgram
-from repro.refinement.split import ExchangeBegin, ExchangeEnd
 from repro.refinement.store import AddressSpace
 from repro.runtime.process import ProcessSpec
 from repro.runtime.system import System
@@ -45,12 +44,10 @@ def exchange_channel_name(src: int, dst: int) -> str:
     return f"dx_{src}_{dst}"
 
 
-def _begin_exchange(
+def _perform_exchange(
     ctx, space: AddressSpace, stage_index: int, op: DataExchange
-) -> list[tuple[Any, Any]]:
-    """Phases 1-2 of one rank's share of an exchange: stage every read
-    against the pre-state and launch every send.  Returns the staged
-    intra-rank assignments for :func:`_finish_exchange`."""
+) -> None:
+    """One rank's share of one data-exchange operation."""
     rank = ctx.rank
 
     # Phase 1 — stage all reads against the pre-state.
@@ -73,24 +70,6 @@ def _begin_exchange(
             exchange_channel_name(rank, dest),
             {"stage": stage_index, "values": outgoing[dest]},
         )
-    return local_staged
-
-
-def _finish_exchange(
-    ctx,
-    space: AddressSpace,
-    stage_index: int,
-    op: DataExchange,
-    local_staged: list[tuple[Any, Any]],
-) -> None:
-    """Phases 3-4: the local writes, then all receives.
-
-    ``stage_index`` is the index of the stage that *sent* — for an
-    unsplit exchange its own index, for a split pair the begin stage's —
-    so the stage token in the payload still proves both sides agree on
-    which exchange this is.
-    """
-    rank = ctx.rank
 
     # Phase 3 — local writes.
     for a, value in local_staged:
@@ -122,14 +101,6 @@ def _finish_exchange(
             space.write_region(a.dst.var, a.dst.region, value)
 
 
-def _perform_exchange(
-    ctx, space: AddressSpace, stage_index: int, op: DataExchange
-) -> None:
-    """One rank's share of one (unsplit) data-exchange operation."""
-    local_staged = _begin_exchange(ctx, space, stage_index, op)
-    _finish_exchange(ctx, space, stage_index, op, local_staged)
-
-
 def _make_body(program: SimulatedParallelProgram, rank: int):
     """The parallel process body for one rank: the program's stages,
     restricted to this rank's share of each.
@@ -140,45 +111,17 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
     blocks and ``exchange`` for data exchanges — the per-phase timeline
     of the transformed program.  Un-observed runs take a loop with no
     instrumentation at all.
-
-    Split exchange pairs map onto the two halves of the unsplit body:
-    the begin stage runs phases 1-2 (pre-state reads + sends), the end
-    stage phases 3-4 (local writes + receives).  The stage token carried
-    by every message is the *begin* stage's index on both sides, so the
-    divergence check is as strict as for unsplit exchanges.
     """
-    # End-stage index -> its begin stage's index, resolved once.  The
-    # mapping is position-based, not identity-based: process bodies are
-    # pickled into worker processes, where every stage object is a fresh
-    # copy with a fresh id, but stage *positions* survive the trip —
-    # and the begin's index doubles as the message token both sides of
-    # the split exchange agree on.
-    pos_of = {id(stage): i for i, stage in enumerate(program.stages)}
-    end_to_begin: dict[int, int] = {
-        i: pos_of[id(stage.begin)]
-        for i, stage in enumerate(program.stages)
-        if isinstance(stage, ExchangeEnd)
-    }
 
     def body(ctx) -> None:
         space = AddressSpace.wrap(ctx.store, owner=rank)
         obs = ctx.observer
-        pending: dict[int, list[tuple[Any, Any]]] = {}
         if obs is None:
             for stage_index, stage in enumerate(program.stages):
                 if isinstance(stage, LocalBlock):
                     fn = stage.fn_for(rank)
                     if fn is not None:
                         fn(space)
-                elif isinstance(stage, ExchangeBegin):
-                    pending[stage_index] = _begin_exchange(
-                        ctx, space, stage_index, stage.op
-                    )
-                elif isinstance(stage, ExchangeEnd):
-                    token = end_to_begin[stage_index]
-                    _finish_exchange(
-                        ctx, space, token, stage.op, pending.pop(token)
-                    )
                 else:
                     _perform_exchange(ctx, space, stage_index, stage)
             return
@@ -188,17 +131,6 @@ def _make_body(program: SimulatedParallelProgram, rank: int):
                 if fn is not None:
                     with obs.span(rank, stage.name, cat="stage"):
                         fn(space)
-            elif isinstance(stage, ExchangeBegin):
-                with obs.span(rank, stage.name, cat="exchange"):
-                    pending[stage_index] = _begin_exchange(
-                        ctx, space, stage_index, stage.op
-                    )
-            elif isinstance(stage, ExchangeEnd):
-                token = end_to_begin[stage_index]
-                with obs.span(rank, stage.name, cat="exchange"):
-                    _finish_exchange(
-                        ctx, space, token, stage.op, pending.pop(token)
-                    )
             else:
                 with obs.span(rank, stage.name, cat="exchange"):
                     _perform_exchange(ctx, space, stage_index, stage)

@@ -158,25 +158,13 @@ def test_version_a_fdtd_identical_across_engines():
             assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
 
 
-@pytest.mark.slow
-def test_batched_exchanges_identical_across_fast_paths():
-    """The batched ghost exchange and every fast-path configuration of
-    the multiprocess engine (zero-copy slab on/off, persistent pool)
-    must reproduce the threaded result of the *unbatched* program
-    bitwise — batching and transport are pure plumbing."""
-    from repro.apps.fdtd import (
-        COMPONENTS,
-        FDTDConfig,
-        GaussianPulse,
-        PointSource,
-        YeeGrid,
-        build_parallel_fdtd,
-    )
+def batch_config(boundary="pec", shape=(9, 7, 7), steps=3):
+    from repro.apps.fdtd import FDTDConfig, GaussianPulse, PointSource, YeeGrid
 
-    shape = (9, 7, 7)
-    config = FDTDConfig(
+    return FDTDConfig(
         grid=YeeGrid(shape=shape),
-        steps=3,
+        steps=steps,
+        boundary=boundary,
         sources=[
             PointSource(
                 "ez",
@@ -185,44 +173,130 @@ def test_batched_exchanges_identical_across_fast_paths():
             )
         ],
     )
-    plain = build_parallel_fdtd(config, (2, 1, 1), version="A")
-    batched = build_parallel_fdtd(
-        config, (2, 1, 1), version="A", batch_exchanges=True
+
+
+def host_fields(par, stores):
+    from repro.apps.fdtd import COMPONENTS
+
+    host = stores[par.host]
+    return {c: np.asarray(host[c]) for c in COMPONENTS}
+
+
+def fields_identical(a, b):
+    return all(bitwise_equal_arrays(a[c], b[c]) for c in a)
+
+
+@pytest.mark.parametrize("boundary", ["pec", "mur1"])
+@pytest.mark.parametrize("pshape", [(1, 1, 1), (2, 1, 1), (2, 2, 1)])
+def test_batched_simulated_equals_sequential(boundary, pshape):
+    """Coalescing each phase's exchanges into one stage leaves the
+    simulated-parallel program's near fields bitwise equal to the
+    sequential code's, with and without Mur faces."""
+    from repro.apps.fdtd import VersionA, build_parallel_fdtd
+
+    config = batch_config(boundary=boundary, steps=6)
+    seq = VersionA(config).run().fields
+    par = build_parallel_fdtd(
+        config, pshape, version="A", batch_exchanges=True
+    )
+    assert fields_identical(host_fields(par, par.run_simulated()), seq)
+
+
+def test_batched_farfield_equals_baseline():
+    """Version C: batching changes no far-field partial, so the reduced
+    potentials match the unbatched program bitwise."""
+    from repro.apps.fdtd import (
+        FDTDConfig,
+        NTFFConfig,
+        PointSource,
+        RickerWavelet,
+        YeeGrid,
+        build_parallel_fdtd,
     )
 
-    def host_fields(par, result):
-        host = result.stores[par.host]
-        return {c: np.asarray(host[c]) for c in COMPONENTS}
+    config = FDTDConfig(
+        grid=YeeGrid(shape=(12, 10, 8)),
+        steps=6,
+        boundary="mur1",
+        sources=[
+            PointSource("ez", (6, 5, 4), RickerWavelet(delay=10, spread=4))
+        ],
+    )
+    ntff = NTFFConfig(gap=3)
+    base = build_parallel_fdtd(config, (2, 2, 1), version="C", ntff=ntff)
+    batched = build_parallel_fdtd(
+        config, (2, 2, 1), version="C", ntff=ntff, batch_exchanges=True
+    )
+    base_stores = base.run_simulated()
+    batched_stores = batched.run_simulated()
+    assert fields_identical(
+        host_fields(batched, batched_stores), host_fields(base, base_stores)
+    )
+    for key in ("ffA_total", "ffF_total"):
+        assert bitwise_equal_arrays(
+            np.asarray(batched_stores[batched.host][key]),
+            np.asarray(base_stores[base.host][key]),
+        )
 
-    reference = host_fields(plain, ThreadedEngine().run(plain.to_parallel()))
 
-    variants = [
-        ("threaded/batched", ThreadedEngine()),
-        ("mp/batched+slab", make_engine("multiprocess", start_method="fork")),
-        (
-            "mp/batched no slab",
-            make_engine("multiprocess", start_method="fork", payload_slab=0),
+BATCHED_ENGINES = [
+    pytest.param(ThreadedEngine, id="threaded"),
+    pytest.param(
+        lambda: make_engine("multiprocess", start_method="fork"),
+        id="mp-slab",
+    ),
+    pytest.param(
+        lambda: make_engine(
+            "multiprocess", start_method="fork", payload_slab=0
         ),
-        (
-            "mp/batched pooled",
-            make_engine("multiprocess+pool", start_method="fork"),
-        ),
-    ]
-    for label, engine in variants:
+        id="mp-no-slab",
+    ),
+    pytest.param(
+        lambda: make_engine("multiprocess+pool", start_method="fork"),
+        id="mp-pool",
+    ),
+    *[
+        pytest.param(
+            lambda seed=seed: CooperativeEngine(RandomPolicy(seed=seed)),
+            id=f"cooperative-random{seed}",
+        )
+        for seed in range(3)
+    ],
+    pytest.param(
+        lambda: make_engine("socket", daemons=2),
+        id="socket",
+        marks=pytest.mark.slow,
+    ),
+]
+
+
+@pytest.mark.parametrize("factory", BATCHED_ENGINES)
+def test_batched_exchanges_identical_across_fast_paths(factory, request):
+    """The batched ghost exchange on every engine and fast-path
+    configuration (zero-copy slab on/off, persistent pool, adversarial
+    cooperative schedules, sockets) reproduces the sequential near
+    fields bitwise — batching and transport are pure plumbing."""
+    from repro.apps.fdtd import VersionA, build_parallel_fdtd
+
+    config = batch_config(boundary="mur1")
+    seq = VersionA(config).run().fields
+    batched = build_parallel_fdtd(
+        config, (2, 2, 1), version="A", batch_exchanges=True
+    )
+    engine = factory()
+    try:
         result = engine.run(batched.to_parallel())
-        fields = host_fields(batched, result)
-        for c in COMPONENTS:
-            assert bitwise_equal_arrays(fields[c], reference[c]), (label, c)
-        if label.startswith("mp"):
-            # Batched exchange channels carry fewer, fatter frames.
-            dx_frames = sum(
-                n
-                for name, n in result.channel_frames.items()
-                if name.startswith("dx_")
-            )
-            assert 0 < dx_frames
-            if "no slab" in label:
-                assert sum(result.channel_shm_bytes.values()) == 0
-            else:
-                assert sum(result.channel_shm_bytes.values()) > 0
+    finally:
         getattr(engine, "close", lambda: None)()
+    assert fields_identical(host_fields(batched, result.stores), seq)
+    label = request.node.callspec.id
+    if label.startswith("mp"):
+        # Batched exchange channels carry fewer, fatter frames.
+        dx_frames = sum(
+            n
+            for name, n in result.channel_frames.items()
+            if name.startswith("dx_")
+        )
+        assert 0 < dx_frames
+        shm_bytes = sum(result.channel_shm_bytes.values())
+        assert (shm_bytes == 0) if label == "mp-no-slab" else (shm_bytes > 0)

@@ -9,7 +9,7 @@ class TestBasics:
     def test_list_targets(self, capsys):
         assert run_explore(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "racy" in out and "e1-overlap" in out
+        assert "racy" in out and "e1" in out
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_explore(["--bogus"]) == 2

@@ -218,6 +218,19 @@ class TestMainEntry:
             "rcs",
         }
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["explore", "--target", "nope"], 2),
+            (["explore", "--target", "e1-overlap"], 2),
+            (["stats", "e1", "--pshape", "2xa"], 1),
+            (["trace", "e1", "--limit", "x"], 1),
+        ],
+    )
+    def test_malformed_input_is_a_one_line_usage_error(self, argv, code, capsys):
+        assert main(argv) == code
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["table1", "figure2", "effort"])
     def test_main_runs_cheap_experiments(self, name, capsys):
         assert main([name]) == 0
