@@ -8,26 +8,39 @@ cooperative engine.  Where the threaded engine shares one address space
 and a whole interpreter — the paper's model taken literally, and the
 only backend on which compute-bound ranks actually run in parallel.
 
-Per run, the parent:
+Every run puts its ranks on the parked workers of a
+:class:`~repro.dist.pool.WorkerPool` through one job path,
+:func:`run_pool_job` (which :class:`~repro.dist.serve.JobServer` uses
+too).  Per run, the parent:
 
-1. allocates a :class:`~repro.dist.shm.SharedStoreArena` and places
-   each rank's large store arrays in shared segments (the FDTD Yee-grid
-   blocks cross the process boundary exactly twice: written once at
-   setup, read once at readback);
-2. builds one OS pipe per channel and one duplex *result pipe* per
-   rank, then starts the workers (``spawn`` context by default —
-   process bodies, typically closures, cross via
-   :mod:`repro.dist.closures`; ``fork`` passes them by reference);
-3. holds all workers at a start barrier until every one reports ready,
-   so :attr:`last_timing` can split startup from the run proper;
-4. multiplexes result pipes and process sentinels: ``done`` payloads
-   carry returns, store overrides, channel statistics, and observation
-   payloads; a worker that dies without reporting is reaped via its
-   sentinel into :class:`~repro.errors.ProcessFailedError`, exactly as
-   a raising body is;
-5. reads the shared segments back and **always** destroys the arena in
-   a ``finally`` — no segment outlives the run, even when a worker
-   crashed mid-step (the no-leak tests exercise precisely this).
+1. checks out one worker per rank, booting any that are missing
+   *before* the run creates a pipe — a worker forked later would
+   inherit the run's pipe ends and keep a dead writer's channel open;
+2. places each rank's large store arrays in the pool's
+   :class:`~repro.dist.shm.SharedStoreArena` (the FDTD Yee-grid blocks
+   cross the process boundary exactly twice: written once at setup,
+   read once at readback);
+3. builds one OS pipe per channel and one duplex *result pipe* per
+   rank and ships each worker its job down its control pipe — bodies,
+   typically closures, and store remainders cross by value via
+   :mod:`repro.dist.closures` under ``spawn`` and ``fork`` alike;
+4. holds all workers at a start barrier until every one reports ready,
+   so :attr:`MultiprocessEngine.last_timing` can split startup from
+   the run proper;
+5. multiplexes result pipes and process sentinels
+   (:func:`collect_results`): ``done`` payloads carry returns, store
+   overrides, channel statistics, and observation payloads; a worker
+   that dies without reporting is reaped via its sentinel into
+   :class:`~repro.errors.ProcessFailedError`, exactly as a raising
+   body is;
+6. reads the shared segments back, recycles this run's segments, and
+   checks the workers in (dead ones are discarded), then assembles the
+   result (:func:`finish_run`).
+
+``pool=False`` (the default) is a pool used once: created for the run
+and shut down in a ``finally``, so no worker or segment outlives it,
+even when a worker crashed mid-step (the no-leak tests exercise
+precisely this).
 
 Tracing is unsupported: a trace is a single observation order, and
 separate address spaces have none to offer.  Requesting one raises
@@ -36,16 +49,15 @@ separate address spaces have none to offer.  Requesting one raises
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection as mp_connection
 import os
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.dist import closures, wire
 from repro.dist.channels import EndpointSpec
+from repro.dist.pool import WorkerPool
 from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD, SharedStoreArena
-from repro.dist.worker import worker_main
 from repro.errors import (
     RuntimeModelError,
     TransportAbortError,
@@ -59,10 +71,14 @@ from repro.runtime.system import (
 )
 
 __all__ = [
+    "Collected",
     "MultiprocessEngine",
     "WorkerCrashError",
     "build_channel_endpoints",
     "collect_results",
+    "finish_run",
+    "run_pool_job",
+    "split_timing",
 ]
 
 _EMPTY_W = {
@@ -140,17 +156,37 @@ def _rebuild_exception(exc_info: tuple[str, Any, str]) -> BaseException:
     return _RemoteError(str(data), tb)
 
 
-def collect_results(system: System, procs, parent_conns, crash_grace: float):
+class Collected(NamedTuple):
+    """What :func:`collect_results` gathered from one run's ranks.
+
+    Per-rank dicts keyed by rank: ``causal`` holds each rank's
+    :meth:`~repro.obs.causal.CausalRecorder.payload` when the run
+    traced causally (else it stays empty); ``errors`` holds every
+    failed rank's exception.  ``t_run0`` is when the start barrier
+    released (``None`` if it never did), ``t_run1`` when the last rank
+    went terminal.
+    """
+
+    returns: dict[int, Any]
+    overrides: dict[int, dict]
+    stats: dict[int, dict]
+    observations: dict[int, dict]
+    causal: dict[int, dict]
+    errors: dict[int, BaseException]
+    t_run0: float | None
+    t_run1: float
+
+
+def collect_results(
+    system: System, procs, parent_conns, crash_grace: float
+) -> Collected:
     """Multiplex result pipes + sentinels until every rank is terminal.
 
-    The one collection loop shared by the whole-run engine and the
-    per-job serving layer: ready/go barrier, done/error frames, sentinel
+    The one collection loop of every OS-process job path (pool jobs and
+    the socket engine): ready/go barrier, done/error frames, sentinel
     reaping into :class:`WorkerCrashError`, and the post-first-failure
     grace window (``crash_grace`` seconds) before survivors are
-    terminated.  Returns ``(returns, overrides, stats, observations,
-    causal, errors, t_run0, t_run1)`` — ``causal`` maps rank to its
-    :meth:`~repro.obs.causal.CausalRecorder.payload` when the job ran
-    with causal tracing, else stays empty.
+    terminated.
 
     ``procs`` entries need not be local processes: the socket engine
     passes proxies for ranks living in remote daemons, with
@@ -302,15 +338,8 @@ def collect_results(system: System, procs, parent_conns, crash_grace: float):
                 fail(rank, WorkerCrashError(rank, procs[rank].exitcode))
     if t_run1 is None:
         t_run1 = time.perf_counter()
-    return (
-        returns,
-        overrides,
-        stats,
-        observations,
-        causal,
-        errors,
-        t_run0,
-        t_run1,
+    return Collected(
+        returns, overrides, stats, observations, causal, errors, t_run0, t_run1
     )
 
 
@@ -322,8 +351,8 @@ def build_channel_endpoints(
     Returns ``(w_specs, r_specs, parent_conns, segment_names)``:
     per-rank writer/reader :class:`EndpointSpec` lists, every parent-side
     pipe end (to close after the workers hold duplicates), and the names
-    of the arena segments created — so a per-job caller (the serving
-    layer) can recycle exactly these when the job completes.
+    of the arena segments created — so the job can recycle exactly
+    these when it completes while other jobs' segments stay live.
     """
     nprocs = system.nprocs
     w_specs: list[list[EndpointSpec]] = [[] for _ in range(nprocs)]
@@ -361,6 +390,222 @@ def build_channel_endpoints(
     return w_specs, r_specs, conns, names
 
 
+def split_timing(
+    t_start: float, t_run0: float | None, t_run1: float | None
+) -> dict[str, float]:
+    """``{"startup_s", "run_s", "total_s"}`` of a run that began at
+    ``t_start`` and ends now, split at the start barrier's release
+    ``t_run0`` and the last terminal report ``t_run1``.  A run whose
+    barrier never released spent all of its time starting up."""
+    t_end = time.perf_counter()
+    if t_run0 is None:
+        t_run0 = t_run1 = t_end
+    return {
+        "startup_s": t_run0 - t_start,
+        "run_s": t_run1 - t_run0,
+        "total_s": t_end - t_start,
+    }
+
+
+def _merge_channel_stats(
+    system: System, stats: dict[int, dict]
+) -> list[ChannelStatsRecord]:
+    """Fuse the writer and reader endpoint halves per channel."""
+    records = []
+    for spec in system.channel_specs:
+        w = stats.get(spec.writer, {}).get(spec.name, _EMPTY_W)
+        r = stats.get(spec.reader, {}).get(spec.name, _EMPTY_R)
+        records.append(
+            ChannelStatsRecord(
+                name=spec.name,
+                writer=spec.writer,
+                reader=spec.reader,
+                sends=w["sends"],
+                receives=r["receives"],
+                bytes_sent=w["bytes_sent"],
+                queue_hwm=w["queue_hwm"],
+                frames=w.get("frames", 0),
+                pipe_bytes=w.get("pipe_bytes", 0),
+                shm_bytes=w.get("shm_bytes", 0),
+                net_syscalls=w.get("net_syscalls", 0),
+                net_syscalls_unvectored=w.get("net_syscalls_unvectored", 0),
+                net_vectored=w.get("net_vectored", 0),
+                coalesce_hwm=w.get("coalesce_hwm", 0),
+            )
+        )
+    return records
+
+
+def finish_run(
+    system: System,
+    collected: Collected,
+    stores: list[dict[str, Any]],
+    *,
+    engine: str,
+    observe: bool,
+    report_engine: str | None = None,
+) -> RunResult:
+    """Turn one collected run into its :class:`RunResult`, or raise.
+
+    The one assembly tail of every OS-process job path (:func:`run_pool_job`
+    and the socket engine's ``run_assigned``): the lowest failed rank's
+    exception goes through :func:`~repro.errors.wrap_process_failure`,
+    so fault-injection provenance survives on every path; otherwise the
+    channel halves, worker observations and causal logs are merged.
+    ``report_engine`` names the merged report (default: ``engine``).
+    """
+    nprocs = system.nprocs
+    if collected.errors:
+        rank = min(collected.errors)
+        err = collected.errors[rank]
+        raise wrap_process_failure(rank, err) from err
+    records = _merge_channel_stats(system, collected.stats)
+    report = None
+    if observe:
+        from repro.obs.report import merge_worker_observations
+
+        report = merge_worker_observations(
+            report_engine or engine, nprocs, collected.observations, records
+        )
+    causal = None
+    if collected.causal:
+        from repro.obs.causal import merge_causal_events
+
+        causal = merge_causal_events(collected.causal, nprocs, engine=engine)
+    return assemble_run_result(
+        stores=stores,
+        returns=[collected.returns.get(r) for r in range(nprocs)],
+        engine=engine,
+        channel_stats=records,
+        report=report,
+        causal=causal,
+    )
+
+
+def run_pool_job(
+    pool: WorkerPool,
+    system: System,
+    *,
+    bodies: list | None = None,
+    recv_timeout: float | None = None,
+    observe: bool = False,
+    shm_threshold: int = DEFAULT_THRESHOLD,
+    payload_slab: int = DEFAULT_SLAB,
+    crash_grace: float = 5.0,
+    affinity=None,
+    trace_causal: bool = False,
+    report_engine: str | None = None,
+    marks: dict | None = None,
+) -> RunResult:
+    """Run one system on workers checked out of ``pool``.
+
+    The one job path for pipe-backed ranks, shared by
+    :meth:`MultiprocessEngine.run` and
+    :class:`~repro.dist.serve.JobServer`: check out slots, build channel
+    endpoints, share stores, create result pipes, dispatch,
+    :func:`collect_results`, read back, recycle exactly this job's
+    segments (other jobs may be live on the same arena), check the
+    slots in, then :func:`finish_run`.
+
+    ``bodies`` takes pre-pickled ``("pickle", bytes)`` payloads per rank
+    (the server pickles while a job waits for slots); by default they
+    are pickled here.  ``marks``, when given, receives the collection
+    loop's ``t_run0`` / ``t_run1`` even when the run fails.  The other
+    keywords are as on :class:`MultiprocessEngine`.
+    """
+    nprocs = system.nprocs
+    if bodies is None:
+        bodies = [("pickle", closures.dumps(p.body)) for p in system.processes]
+    cpus = _affinity_sets(affinity, nprocs)
+    arena = pool.arena
+    # Boot missing workers before this job creates any pipe: a worker
+    # forked after that would inherit the write ends and mute the EOF
+    # cascade when a rank dies.
+    slots = pool.checkout(nprocs)
+    parent_conns: dict[Any, int] = {}
+    collected = None
+    try:
+        with pool.arena_lock:
+            w_specs, r_specs, channel_conns, seg_names = (
+                build_channel_endpoints(system, pool.ctx, arena, payload_slab)
+            )
+            shared = [
+                arena.share_store(p.store, shm_threshold)
+                for p in system.processes
+            ]
+        for plan, _rest in shared:
+            seg_names.extend(name for name, _dt, _sh in plan.values())
+
+        child_conns = []
+        for p in system.processes:
+            parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
+            parent_conns[parent_conn] = p.rank
+            child_conns.append(child_conn)
+        for p in system.processes:
+            rank = p.rank
+            plan, rest = shared[rank]
+            # The embedded pipe ends are fd-duplicated at pickle time,
+            # so the parent's copies can close right after dispatch.
+            pool.dispatch(
+                slots[rank],
+                {
+                    "rank": rank,
+                    "name": p.name,
+                    "nprocs": nprocs,
+                    "result_conn": child_conns[rank],
+                    "body": bodies[rank],
+                    "plan": plan,
+                    "rest": ("pickle", closures.dumps(rest)),
+                    "w_specs": w_specs[rank],
+                    "r_specs": r_specs[rank],
+                    "recv_timeout": recv_timeout,
+                    "observe": observe,
+                    "affinity": cpus[rank],
+                    "trace_causal": trace_causal,
+                },
+            )
+        # The parent's copies must close so a dead writer's reader sees
+        # EOF rather than a silently-held-open pipe.
+        for conn in (*channel_conns, *child_conns):
+            conn.close()
+
+        collected = collect_results(
+            system, [slot.proc for slot in slots], parent_conns, crash_grace
+        )
+        # Workers are finished (or dead): the segments are quiescent.
+        stores: list[dict[str, Any]] = []
+        with pool.arena_lock:
+            for rank, (plan, rest) in enumerate(shared):
+                store = arena.readback(plan)
+                # A failed rank reports no overrides: best-effort
+                # initial remainder.
+                store.update(collected.overrides.get(rank, rest))
+                stores.append(store)
+    finally:
+        if collected is not None:
+            # Only quiescent segments recycle; an abandoned setup may
+            # leave a worker briefly attached, so its segments stay out
+            # of reuse until pool shutdown.
+            with pool.arena_lock:
+                arena.recycle(seg_names)
+            if marks is not None:
+                marks.update(t_run0=collected.t_run0, t_run1=collected.t_run1)
+        pool.checkin(slots)
+        for conn in parent_conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
+    return finish_run(
+        system,
+        collected,
+        stores,
+        engine="multiprocess",
+        observe=observe,
+        report_engine=report_engine,
+    )
+
+
 class MultiprocessEngine:
     """Run a :class:`~repro.runtime.system.System` on OS processes.
 
@@ -378,8 +623,8 @@ class MultiprocessEngine:
         boolean form is accepted.
     start_method:
         ``"spawn"`` (default, per the model: a pristine interpreter per
-        rank, bodies crossing by value) or ``"fork"`` (cheaper startup;
-        bodies pass by reference).
+        rank) or ``"fork"`` (cheaper startup).  Bodies cross by value
+        under both.
     shm_threshold:
         Store arrays of at least this many bytes are placed in shared
         segments; smaller values ride the bootstrap pickle.
@@ -398,12 +643,13 @@ class MultiprocessEngine:
         CPU-id sets cycled over ranks.  Best effort; a no-op where
         ``os.sched_setaffinity`` is unavailable.
     pool:
-        ``False`` boots and tears down workers per run (one-shot).
-        ``True`` lazily creates an owned
-        :class:`~repro.dist.pool.WorkerPool` on first run, reused by
-        every subsequent run until :meth:`close`.  An existing
-        ``WorkerPool`` instance is used without being owned (the caller
-        shuts it down).  Pooled runs always ship bodies by value.
+        How long the :class:`~repro.dist.pool.WorkerPool` every run
+        goes through lives; it selects no code path.  ``False`` makes
+        a pool per run and shuts it down when the run ends (a pool used
+        once).  ``True`` lazily creates an owned pool on first run,
+        reused by every subsequent run until :meth:`close`.  An
+        existing ``WorkerPool`` instance is used without being owned
+        (the caller shuts it down).
     trace_causal:
         Per-rank Lamport-clock event logs (:mod:`repro.obs.causal`),
         shipped home in the done payload and merged into the result's
@@ -418,7 +664,8 @@ class MultiprocessEngine:
         ``{"startup_s", "run_s", "total_s"}`` for the most recent run —
         ``run_s`` covers the span from the post-barrier "go" to the
         last worker's terminal report, which is what the benchmark
-        harness compares across engines.
+        harness compares across engines; ``total_s`` spans the whole
+        ``run()`` call, pool boot and shutdown included.
     """
 
     name = "multiprocess"
@@ -454,25 +701,14 @@ class MultiprocessEngine:
         self._payload_slab = max(0, int(payload_slab))
         self._affinity = affinity
         self._trace_causal = bool(trace_causal)
-        self._pool_opt = pool
         self._pool = None if isinstance(pool, bool) else pool
-        self._owned_pool = None
+        self._owns_pool = pool is True
         self.last_timing: dict[str, float] = {}
-
-    # -- pool plumbing -------------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from repro.dist.pool import WorkerPool
-
-            self._pool = self._owned_pool = WorkerPool(self._start_method)
-        return self._pool
 
     def close(self) -> None:
         """Shut down the owned worker pool, if any.  Idempotent."""
-        if self._owned_pool is not None:
-            self._owned_pool.shutdown()
-            self._owned_pool = None
+        if self._owns_pool and self._pool is not None:
+            self._pool.shutdown()
             self._pool = None
 
     def __enter__(self) -> "MultiprocessEngine":
@@ -481,241 +717,30 @@ class MultiprocessEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- run ----------------------------------------------------------------
-
     def run(self, system: System) -> RunResult:
         t_start = time.perf_counter()
-        pool = self._ensure_pool() if self._pool_opt else None
-        ctx = (
-            pool.ctx if pool is not None
-            else multiprocessing.get_context(self._start_method)
-        )
-        # Pool workers outlive the fork point, so their bodies must
-        # always cross by value; one-shot fork passes by reference.
-        by_value = pool is not None or self._start_method == "spawn"
-        nprocs = system.nprocs
-        arena = pool.arena if pool is not None else SharedStoreArena()
-        affinity = _affinity_sets(self._affinity, nprocs)
-        procs: list[Any] = []
-        parent_conns: dict[Any, int] = {}
-        all_channel_conns: list[Any] = []
-        plans: list[dict[str, tuple]] = []
-        rests: list[dict[str, Any]] = []
-        collected = False
+        pool = self._pool
+        if pool is None:
+            pool = WorkerPool(self._start_method)
+            if self._owns_pool:
+                self._pool = pool
+        marks: dict[str, Any] = {}
         try:
-            # Channel pipes and per-rank endpoint specs.
-            w_specs, r_specs, all_channel_conns, _seg_names = (
-                build_channel_endpoints(
-                    system, ctx, arena, self._payload_slab
-                )
+            return run_pool_job(
+                pool,
+                system,
+                recv_timeout=self._recv_timeout,
+                observe=self._observe,
+                shm_threshold=self._shm_threshold,
+                payload_slab=self._payload_slab,
+                crash_grace=self._crash_grace,
+                affinity=self._affinity,
+                trace_causal=self._trace_causal,
+                marks=marks,
             )
-
-            # Stores: large arrays into shared segments, the rest by value.
-            for p in system.processes:
-                plan, rest = arena.share_store(p.store, self._shm_threshold)
-                plans.append(plan)
-                rests.append(rest)
-
-            # Result pipes and workers.
-            child_conns: list[Any] = []
-            for p in system.processes:
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                parent_conns[parent_conn] = p.rank
-                child_conns.append(child_conn)
-            if pool is not None:
-                # Parked workers: ship each rank's job down its control
-                # pipe; the embedded pipe ends are fd-duplicated at
-                # pickle time, so the parent's copies can close below.
-                slots = pool.ensure(nprocs)
-                procs = [slot.proc for slot in slots]
-                for p in system.processes:
-                    rank = p.rank
-                    pool.dispatch(
-                        slots[rank],
-                        {
-                            "rank": rank,
-                            "name": p.name,
-                            "nprocs": nprocs,
-                            "result_conn": child_conns[rank],
-                            "body": ("pickle", closures.dumps(p.body)),
-                            "plan": plans[rank],
-                            "rest": ("pickle", closures.dumps(rests[rank])),
-                            "w_specs": w_specs[rank],
-                            "r_specs": r_specs[rank],
-                            "recv_timeout": self._recv_timeout,
-                            "observe": self._observe,
-                            "affinity": affinity[rank],
-                            "trace_causal": self._trace_causal,
-                        },
-                    )
-            else:
-                for p in system.processes:
-                    rank = p.rank
-                    if by_value:
-                        body_payload = ("pickle", closures.dumps(p.body))
-                        rest_payload = ("pickle", closures.dumps(rests[rank]))
-                        foreign = None
-                    else:
-                        body_payload = ("object", p.body)
-                        rest_payload = ("object", rests[rank])
-                        own = {
-                            id(s.conn) for s in (*w_specs[rank], *r_specs[rank])
-                        }
-                        own.add(id(child_conns[rank]))
-                        foreign = [
-                            c
-                            for c in (
-                                *all_channel_conns,
-                                *child_conns,
-                                *parent_conns,
-                            )
-                            if id(c) not in own
-                        ]
-                    proc = ctx.Process(
-                        target=worker_main,
-                        name=f"repro-{p.name}",
-                        args=(
-                            rank,
-                            p.name,
-                            nprocs,
-                            child_conns[rank],
-                            body_payload,
-                            plans[rank],
-                            rest_payload,
-                            w_specs[rank],
-                            r_specs[rank],
-                            self._recv_timeout,
-                            self._observe,
-                            foreign,
-                            affinity[rank],
-                            self._trace_causal,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    procs.append(proc)
-
-            # The parent's copies must close so a dead writer's reader
-            # sees EOF rather than a silently-held-open pipe.
-            for conn in all_channel_conns:
-                conn.close()
-            for conn in child_conns:
-                conn.close()
-
-            (
-                returns,
-                overrides,
-                stats,
-                observations,
-                causal_payloads,
-                errors,
-                t_run0,
-                t_run1,
-            ) = self._collect(system, procs, parent_conns)
-            collected = True
-
-            # Workers are finished (or dead): the segments are quiescent.
-            stores: list[dict[str, Any]] = []
-            for rank in range(nprocs):
-                store = arena.readback(plans[rank])
-                if rank in overrides:
-                    store.update(overrides[rank])
-                else:  # failed rank: best-effort initial remainder
-                    store.update(rests[rank])
-                stores.append(store)
         finally:
-            if pool is not None:
-                # Keep the workers parked and the segments mapped for
-                # the next run; dead slots are respawned by ensure().
-                # Segments are only recycled once every rank is known
-                # terminal — an abandoned setup may leave a worker
-                # briefly attached, and those segments must not be
-                # reused (they stay owned until pool shutdown).
-                if collected:
-                    arena.recycle()
-                pool.reap()
-            else:
-                arena.cleanup()
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
-                for proc in procs:
-                    proc.join(timeout=5.0)
-            for conn in parent_conns:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-        t_end = time.perf_counter()
-        self.last_timing = {
-            "startup_s": (t_run0 or t_end) - t_start,
-            "run_s": (t_run1 or t_end) - (t_run0 or t_end),
-            "total_s": t_end - t_start,
-        }
-
-        if errors:
-            rank = min(errors)
-            raise wrap_process_failure(rank, errors[rank]) from errors[rank]
-
-        records = self._merge_channel_stats(system, stats)
-        report = None
-        if self._observe:
-            from repro.obs.report import merge_worker_observations
-
-            report = merge_worker_observations(
-                self.name, nprocs, observations, records
+            if pool is not self._pool:  # pool=False: a pool used once
+                pool.shutdown()
+            self.last_timing = split_timing(
+                t_start, marks.get("t_run0"), marks.get("t_run1")
             )
-        causal = None
-        if causal_payloads:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                causal_payloads, nprocs, engine=self.name
-            )
-        return assemble_run_result(
-            stores=stores,
-            returns=[returns.get(r) for r in range(nprocs)],
-            engine=self.name,
-            channel_stats=records,
-            report=report,
-            causal=causal,
-        )
-
-    # -- collection loop -----------------------------------------------------
-
-    def _collect(self, system: System, procs, parent_conns):
-        return collect_results(system, procs, parent_conns, self._crash_grace)
-
-    # -- stats merge ---------------------------------------------------------
-
-    @staticmethod
-    def _merge_channel_stats(
-        system: System, stats: dict[int, dict]
-    ) -> list[ChannelStatsRecord]:
-        """Fuse the writer and reader endpoint halves per channel."""
-        records = []
-        for spec in system.channel_specs:
-            w = stats.get(spec.writer, {}).get(spec.name, _EMPTY_W)
-            r = stats.get(spec.reader, {}).get(spec.name, _EMPTY_R)
-            records.append(
-                ChannelStatsRecord(
-                    name=spec.name,
-                    writer=spec.writer,
-                    reader=spec.reader,
-                    sends=w["sends"],
-                    receives=r["receives"],
-                    bytes_sent=w["bytes_sent"],
-                    queue_hwm=w["queue_hwm"],
-                    frames=w.get("frames", 0),
-                    pipe_bytes=w.get("pipe_bytes", 0),
-                    shm_bytes=w.get("shm_bytes", 0),
-                    net_syscalls=w.get("net_syscalls", 0),
-                    net_syscalls_unvectored=w.get(
-                        "net_syscalls_unvectored", 0
-                    ),
-                    net_vectored=w.get("net_vectored", 0),
-                    coalesce_hwm=w.get("coalesce_hwm", 0),
-                )
-            )
-        return records

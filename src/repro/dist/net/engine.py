@@ -53,15 +53,11 @@ import time
 from typing import Any
 
 from repro.dist import closures, wire
-from repro.dist.engine import MultiprocessEngine, collect_results
+from repro.dist.engine import collect_results, finish_run, split_timing
 from repro.dist.net import rendezvous
 from repro.dist.net.transport import NetEndpointSpec
-from repro.errors import (
-    RendezvousError,
-    RuntimeModelError,
-    wrap_process_failure,
-)
-from repro.runtime.system import RunResult, System, assemble_run_result
+from repro.errors import RendezvousError, RuntimeModelError
+from repro.runtime.system import RunResult, System
 
 __all__ = [
     "SocketEngine",
@@ -248,7 +244,7 @@ def run_assigned(
 
     procs: list[_RemoteRank] = []
     parent_conns: dict[Any, int] = {}
-    t_run0 = t_run1 = None
+    collected = None
     try:
         for p in system.processes:
             rank = p.rank
@@ -275,65 +271,29 @@ def run_assigned(
                     },
                 ),
             )
-
-        (
-            returns,
-            overrides,
-            stats,
-            observations,
-            causal_payloads,
-            errors,
-            t_run0,
-            t_run1,
-        ) = collect_results(system, procs, parent_conns, crash_grace)
-
-        # Stores travelled by value both ways: each rank's final
-        # store is exactly its overrides payload (flush_store with
-        # no shared handles returns the whole store).  A failed
-        # rank reports nothing — fall back to its initial store.
-        stores: list[dict[str, Any]] = []
-        for rank in range(nprocs):
-            if rank in overrides:
-                stores.append(dict(overrides[rank]))
-            else:
-                stores.append(dict(system.processes[rank].store))
+        collected = collect_results(system, procs, parent_conns, crash_grace)
     finally:
         for stream in parent_conns:
             stream.close()
         if timing_sink is not None:
-            t_end = time.perf_counter()
             timing_sink.update(
-                startup_s=(t_run0 or t_end) - t_start,
-                run_s=(t_run1 or t_end) - (t_run0 or t_end),
-                total_s=t_end - t_start,
+                split_timing(
+                    t_start,
+                    getattr(collected, "t_run0", None),
+                    getattr(collected, "t_run1", None),
+                )
             )
 
-    if errors:
-        rank = min(errors)
-        raise wrap_process_failure(rank, errors[rank]) from errors[rank]
-
-    records = MultiprocessEngine._merge_channel_stats(system, stats)
-    report = None
-    if observe:
-        from repro.obs.report import merge_worker_observations
-
-        report = merge_worker_observations(
-            engine_name, nprocs, observations, records
-        )
-    causal = None
-    if causal_payloads:
-        from repro.obs.causal import merge_causal_events
-
-        causal = merge_causal_events(
-            causal_payloads, nprocs, engine=engine_name
-        )
-    return assemble_run_result(
-        stores=stores,
-        returns=[returns.get(r) for r in range(nprocs)],
-        engine=engine_name,
-        channel_stats=records,
-        report=report,
-        causal=causal,
+    # Stores travelled by value both ways: each rank's final store is
+    # exactly its overrides payload (flush_store with no shared handles
+    # returns the whole store).  A failed rank reports nothing — fall
+    # back to its initial store.
+    stores = [
+        dict(collected.overrides.get(r, system.processes[r].store))
+        for r in range(nprocs)
+    ]
+    return finish_run(
+        system, collected, stores, engine=engine_name, observe=observe
     )
 
 

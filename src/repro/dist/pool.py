@@ -1,15 +1,16 @@
-"""Persistent worker pool: boot OS processes once, dispatch many runs.
+"""Persistent worker pool: boot OS processes once, dispatch many jobs.
 
-The one-shot :class:`~repro.dist.engine.MultiprocessEngine` pays for a
-full process boot (interpreter, imports, shm attach) on every ``run``.
 A :class:`WorkerPool` keeps a set of long-lived worker processes parked
-on a *control pipe*; each engine run ships per-run jobs — body, store
-plan, channel endpoints, a fresh result pipe — down that pipe and the
-workers execute :func:`repro.dist.worker.run_job` exactly as a one-shot
-worker would, then park again.  The result-pipe protocol (ready / go /
-done / error) is unchanged, so the engine's collection loop, barrier
-timing, and crash reaping all work identically; only process boot is
-amortized.
+on a *control pipe*.  Every pipe-backed run goes through one: the
+multiprocess engine's (with ``pool=False`` a pool used once, created and
+shut down around the run) and every :class:`~repro.dist.serve.JobServer`
+job.  :func:`repro.dist.engine.run_pool_job` checks workers out, ships
+each rank's job — body, store plan, channel endpoints, a fresh result
+pipe — down its control pipe, and the worker executes
+:func:`repro.dist.worker.run_job`, then parks again.  Reusing a pool
+amortizes process boot and nothing else: the result-pipe protocol
+(ready / go / done / error), barrier timing, and crash reaping are the
+same for every run.
 
 Mechanics worth noting:
 
@@ -20,18 +21,18 @@ Mechanics worth noting:
   ``fork`` and ``spawn`` contexts — so the parent can close its copies
   immediately after dispatch and EOF semantics stay exact.  Bodies and
   store remainders are pre-pickled with :mod:`repro.dist.closures`
-  (pool workers outlive the fork point, so even under ``fork`` bodies
+  (workers outlive the fork point, so even under ``fork`` bodies
   created later must cross by value).
-* **Crash containment.**  A worker that dies mid-job is detected by the
-  engine via its process sentinel, exactly as in one-shot mode; the
-  engine then calls :meth:`WorkerPool.reap` so the dead slot is
-  discarded and the next :meth:`ensure` respawns a replacement.  A body
+* **Crash containment.**  A worker that dies mid-job is detected via
+  its process sentinel; :meth:`WorkerPool.checkin` discards the dead
+  slot and the next :meth:`checkout` respawns a replacement.  A body
   that merely *raises* reports an error frame and parks again — the
   worker survives.
 * **Segment recycling.**  The pool owns a persistent
-  :class:`~repro.dist.shm.SharedStoreArena`; between runs the engine
-  calls ``arena.recycle()`` so same-shape grids reuse their segments.
-  :meth:`shutdown` unlinks everything — the pool holds the only
+  :class:`~repro.dist.shm.SharedStoreArena` (guarded by
+  :attr:`WorkerPool.arena_lock`, since concurrent jobs share it); as a
+  job completes its segments are recycled so same-shape grids reuse
+  them.  :meth:`shutdown` unlinks everything — the pool holds the only
   parent-side ownership, and the no-leak tests assert emptiness after.
 """
 
@@ -99,20 +100,20 @@ class _Slot:
 class WorkerPool:
     """A reusable set of parked worker processes plus their arena.
 
-    Usable as a context manager; :meth:`shutdown` is idempotent.  One
-    pool serves one engine at a time through :meth:`ensure` (slots are
-    assigned to ranks by position), but many consecutive runs — of
-    different systems and sizes — reuse it: :meth:`ensure` grows the
-    pool on demand and respawns any worker that died.
+    Usable as a context manager; :meth:`shutdown` is idempotent.  Every
+    job borrows its workers with :meth:`checkout` and returns them with
+    :meth:`checkin`; many jobs — of different systems and sizes, one
+    after another or concurrently — reuse the pool, which grows on
+    demand and respawns any worker that died.  :meth:`ensure` only
+    pre-sizes it.
 
-    The serving layer instead borrows slots with :meth:`checkout` /
-    :meth:`checkin`, which are safe to call from multiple threads and
-    concurrently with :meth:`shutdown`: every mutation of the slot
-    lists happens under one lock, borrowed slots are tracked so a
-    shutdown racing a job terminates them too (a parked worker gets a
-    polite ``stop``; a borrowed one is mid-job and is terminated), and
-    a checkin after shutdown stops the returned workers instead of
-    re-parking them.
+    :meth:`checkout` / :meth:`checkin` are safe to call from multiple
+    threads and concurrently with :meth:`shutdown`: every mutation of
+    the slot lists happens under one lock, borrowed slots are tracked
+    so a shutdown racing a job terminates them too (a parked worker
+    gets a polite ``stop``; a borrowed one is mid-job and is
+    terminated), and a checkin after shutdown stops the returned
+    workers instead of re-parking them.
     """
 
     def __init__(self, start_method: str = "fork"):
@@ -121,6 +122,7 @@ class WorkerPool:
         self.start_method = start_method
         self.ctx = multiprocessing.get_context(start_method)
         self.arena = SharedStoreArena()
+        self.arena_lock = threading.Lock()  # the arena is not thread-safe
         self._slots: list[_Slot] = []
         self._lent: list[_Slot] = []
         self._lock = threading.RLock()
@@ -190,12 +192,12 @@ class WorkerPool:
             self._discard(slot)
         return len(dead)
 
-    def ensure(self, n: int) -> list[_Slot]:
-        """At least ``n`` live parked workers; returns the first ``n``.
+    def ensure(self, n: int) -> None:
+        """Pre-size: boot parked workers until at least ``n`` are live.
 
-        Whole-run engine path: the caller uses the slots and leaves
-        them parked (no checkin).  Do not mix with a concurrent
-        :meth:`checkout` on the same pool — use one or the other.
+        A caller that will fork from a multithreaded process (the
+        serving layer) boots its workers here first, while it is still
+        single-threaded.
         """
         with self._lock:
             if self._closed:
@@ -203,20 +205,15 @@ class WorkerPool:
             self.reap()
             while len(self._slots) < n:
                 self._slots.append(self._spawn())
-            return self._slots[:n]
 
     def checkout(self, n: int) -> list[_Slot]:
-        """Borrow ``n`` live workers exclusively (serving path).
+        """Borrow ``n`` live workers exclusively, booting any missing.
 
         The returned slots are removed from the parked list until
         :meth:`checkin`; concurrent checkouts never share a slot.
         """
         with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is shut down")
-            self.reap()
-            while len(self._slots) < n:
-                self._slots.append(self._spawn())
+            self.ensure(n)
             taken = self._slots[:n]
             del self._slots[:n]
             self._lent.extend(taken)

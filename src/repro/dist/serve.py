@@ -6,11 +6,10 @@ The whole-run :class:`~repro.dist.engine.MultiprocessEngine` maps one
 :class:`concurrent.futures.Future` immediately and the server keeps
 every pool slot busy: each admitted job is prepared (bodies pickled)
 *concurrently with* other jobs' execution, waits for enough free slots,
-borrows them exclusively via :meth:`~repro.dist.pool.WorkerPool.checkout`,
-runs through exactly the engine's dispatch/collect machinery
-(:func:`~repro.dist.engine.build_channel_endpoints` /
-:func:`~repro.dist.engine.collect_results`), and returns its slots and
-shared segments the moment it completes.
+and runs through the engine's own job path
+(:func:`~repro.dist.engine.run_pool_job`), which borrows the workers
+exclusively via :meth:`~repro.dist.pool.WorkerPool.checkout` and
+returns them and the job's shared segments the moment it completes.
 
 The submit/Future/backpressure machinery itself lives in
 :mod:`repro.dist.serving` (:class:`~repro.dist.serving.JobServerCore`)
@@ -47,16 +46,9 @@ throughput, p50/p95, and slot utilization.
 
 from __future__ import annotations
 
-import threading
-from typing import Any
-
 from repro.dist import closures
-from repro.dist.engine import (
-    MultiprocessEngine,
-    _affinity_sets,
-    build_channel_endpoints,
-    collect_results,
-)
+from repro.dist.engine import run_pool_job
+from repro.dist.pool import WorkerPool
 from repro.dist.serving import (
     JobServerCore,
     JobStats,
@@ -65,9 +57,8 @@ from repro.dist.serving import (
     _Job,
 )
 from repro.dist.shm import DEFAULT_SLAB, DEFAULT_THRESHOLD
-from repro.errors import ProcessFailedError
 from repro.obs.observer import Observer
-from repro.runtime.system import RunResult, System, assemble_run_result
+from repro.runtime.system import RunResult, System
 
 __all__ = ["JobServer", "ServerSaturatedError", "ServerClosedError", "JobStats"]
 
@@ -93,9 +84,9 @@ class JobServer(JobServerCore):
     pool:
         Use (but do not own) an existing
         :class:`~repro.dist.pool.WorkerPool`; by default the server
-        creates one and shuts it down on :meth:`close`.  Do not run a
-        pooled engine and a server on the same pool concurrently —
-        ``ensure`` and ``checkout`` hand out the same slots.
+        creates one and shuts it down on :meth:`close`.  An engine run
+        on the same pool checks out its own workers, beyond the
+        server's ``pool_size`` accounting (the pool grows to fit).
     observer:
         An :class:`~repro.obs.observer.Observer` to record into
         (default: a fresh one, exposed as :attr:`observer`).
@@ -133,8 +124,6 @@ class JobServer(JobServerCore):
             observer=observer,
         )
         if pool is None:
-            from repro.dist.pool import WorkerPool
-
             pool = WorkerPool(start_method)
             self._owns_pool = True
         else:
@@ -150,7 +139,6 @@ class JobServer(JobServerCore):
         self._trace_causal = bool(trace_causal)
 
         self._free_slots = pool_size  # scheduling capacity (not processes)
-        self._arena_lock = threading.Lock()  # arena is not thread-safe
 
         # Boot every worker NOW, while this process is single-threaded:
         # forking from a live serving thread-pool can copy another
@@ -201,135 +189,16 @@ class JobServer(JobServerCore):
         ]
 
     def _execute(self, job: _Job, prepared, grant) -> RunResult:
-        return self._run_job(job.system, prepared)
-
-    def _run_job(self, system: System, bodies: list) -> RunResult:
-        """One job through checkout → dispatch → collect → readback.
-
-        The same protocol as a pooled engine run; segment names are
-        tracked so exactly this job's segments recycle at the end.
-        """
-        pool = self.pool
-        arena = pool.arena
-        nprocs = system.nprocs
-        affinity = _affinity_sets(self._affinity, nprocs)
-        seg_names: list[str] = []
-        parent_conns: dict[Any, int] = {}
-        slots: list = []
-        collected = False
-        try:
-            with self._arena_lock:
-                w_specs, r_specs, channel_conns, names = (
-                    build_channel_endpoints(
-                        system, pool.ctx, arena, self._payload_slab
-                    )
-                )
-                seg_names.extend(names)
-                plans, rests = [], []
-                for p in system.processes:
-                    plan, rest = arena.share_store(
-                        p.store, self._shm_threshold
-                    )
-                    plans.append(plan)
-                    rests.append(rest)
-                    seg_names.extend(
-                        name for name, _dt, _sh in plan.values()
-                    )
-
-            child_conns = []
-            for p in system.processes:
-                parent_conn, child_conn = pool.ctx.Pipe(duplex=True)
-                parent_conns[parent_conn] = p.rank
-                child_conns.append(child_conn)
-
-            slots = pool.checkout(nprocs)
-            for p in system.processes:
-                rank = p.rank
-                pool.dispatch(
-                    slots[rank],
-                    {
-                        "rank": rank,
-                        "name": p.name,
-                        "nprocs": nprocs,
-                        "result_conn": child_conns[rank],
-                        "body": bodies[rank],
-                        "plan": plans[rank],
-                        "rest": ("pickle", closures.dumps(rests[rank])),
-                        "w_specs": w_specs[rank],
-                        "r_specs": r_specs[rank],
-                        "recv_timeout": self._recv_timeout,
-                        "observe": self._observe,
-                        "affinity": affinity[rank],
-                        "trace_causal": self._trace_causal,
-                    },
-                )
-            # Workers hold fd duplicates; close ours so EOF stays exact.
-            for conn in channel_conns:
-                conn.close()
-            for conn in child_conns:
-                conn.close()
-
-            procs = [slot.proc for slot in slots]
-            (
-                returns,
-                overrides,
-                stats,
-                observations,
-                causal_payloads,
-                errors,
-                _t0,
-                _t1,
-            ) = collect_results(
-                system, procs, parent_conns, self._crash_grace
-            )
-            collected = True
-
-            stores: list[dict[str, Any]] = []
-            with self._arena_lock:
-                for rank in range(nprocs):
-                    store = arena.readback(plans[rank])
-                    if rank in overrides:
-                        store.update(overrides[rank])
-                    else:
-                        store.update(rests[rank])
-                    stores.append(store)
-        finally:
-            if slots:
-                pool.checkin(slots)
-            if collected:
-                # Only quiescent segments recycle; an abandoned setup
-                # keeps its segments out of reuse until pool shutdown.
-                with self._arena_lock:
-                    arena.recycle(seg_names)
-            for conn in parent_conns:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-        if errors:
-            rank = min(errors)
-            raise ProcessFailedError(rank, errors[rank]) from errors[rank]
-        records = MultiprocessEngine._merge_channel_stats(system, stats)
-        report = None
-        if self._observe:
-            from repro.obs.report import merge_worker_observations
-
-            report = merge_worker_observations(
-                "serve", nprocs, observations, records
-            )
-        causal = None
-        if causal_payloads:
-            from repro.obs.causal import merge_causal_events
-
-            causal = merge_causal_events(
-                causal_payloads, nprocs, engine="multiprocess"
-            )
-        return assemble_run_result(
-            stores=stores,
-            returns=[returns.get(r) for r in range(nprocs)],
-            engine="multiprocess",
-            channel_stats=records,
-            report=report,
-            causal=causal,
+        return run_pool_job(
+            self.pool,
+            job.system,
+            bodies=prepared,
+            recv_timeout=self._recv_timeout,
+            observe=self._observe,
+            shm_threshold=self._shm_threshold,
+            payload_slab=self._payload_slab,
+            crash_grace=self._crash_grace,
+            affinity=self._affinity,
+            trace_causal=self._trace_causal,
+            report_engine="serve",
         )

@@ -1,9 +1,8 @@
 """What runs inside each worker OS process.
 
-:func:`worker_main` is the target of every one-shot
-``multiprocessing.Process`` the engine spawns; :func:`run_job` is the
-engine-facing core it shares with the persistent pool workers of
-:mod:`repro.dist.pool`.  A job rebuilds one rank's world — store
+:func:`run_job` runs one dispatched rank, in a parked worker of
+:mod:`repro.dist.pool` or on a thread of a worker daemon
+(:mod:`repro.dist.net.daemon`).  A job rebuilds one rank's world — store
 (attached to the parent's shared segments), channel endpoints, context,
 optional observer — runs the unmodified process body, and reports back
 over a dedicated duplex result pipe.
@@ -40,7 +39,7 @@ from repro.dist.shm import attach_store, close_handles, flush_store
 from repro.errors import TransportError
 from repro.runtime.context import ProcessContext
 
-__all__ = ["worker_main", "run_job", "apply_affinity", "report_error"]
+__all__ = ["run_job", "apply_affinity", "report_error"]
 
 
 def _open_channel(spec) -> ProcChannel:
@@ -102,9 +101,9 @@ def apply_affinity(cpus) -> None:
         pass  # cpu set not permitted/offline: run unpinned
 
 
-def _unpack(payload: tuple[str, Any]) -> Any:
-    kind, data = payload
-    return closures.loads(data) if kind == "pickle" else data
+def _unpack(payload: tuple[str, bytes]) -> Any:
+    """Rebuild a ``("pickle", bytes)`` body or store payload."""
+    return closures.loads(payload[1])
 
 
 def _exc_info(exc: BaseException) -> tuple[str, Any, str]:
@@ -154,9 +153,9 @@ def run_job(
     name: str,
     nprocs: int,
     result_conn,
-    body_payload: tuple[str, Any],
+    body_payload: tuple[str, bytes],
     plan: dict[str, tuple],
-    rest_payload: tuple[str, Any],
+    rest_payload: tuple[str, bytes],
     w_specs: list[EndpointSpec],
     r_specs: list[EndpointSpec],
     recv_timeout: float | None,
@@ -167,8 +166,8 @@ def run_job(
     """Execute one dispatched rank: build, barrier, run body, report.
 
     Never raises: failures are shipped to the parent as ``("error", …)``
-    frames.  Does **not** close ``result_conn`` — one-shot workers close
-    it on exit, pool workers close it per job.
+    frames.  Does **not** close ``result_conn`` — its owner (the pool
+    worker loop or the daemon) does, per job.
     """
     out: dict[str, ProcChannel] = {}
     inc: dict[str, ProcChannel] = {}
@@ -255,54 +254,6 @@ def run_job(
         for ch in inc.values():
             ch.close()
         close_handles(handles)
-
-
-def worker_main(
-    rank: int,
-    name: str,
-    nprocs: int,
-    result_conn,
-    body_payload: tuple[str, Any],
-    plan: dict[str, tuple],
-    rest_payload: tuple[str, Any],
-    w_specs: list[EndpointSpec],
-    r_specs: list[EndpointSpec],
-    recv_timeout: float | None,
-    observe: bool,
-    foreign_conns,
-    affinity=None,
-    trace_causal: bool = False,
-) -> None:
-    # Under fork every child inherits every pipe fd; dropping the ends
-    # this rank does not own restores spawn's EOF semantics (a writer's
-    # death must surface as EOF at its reader, not as a silent hang).
-    if foreign_conns:
-        for conn in foreign_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-    try:
-        run_job(
-            rank,
-            name,
-            nprocs,
-            result_conn,
-            body_payload,
-            plan,
-            rest_payload,
-            w_specs,
-            r_specs,
-            recv_timeout,
-            observe,
-            affinity,
-            trace_causal,
-        )
-    finally:
-        try:
-            result_conn.close()
-        except OSError:
-            pass
 
 
 def report_error(result_conn, rank: int, exc: BaseException) -> None:

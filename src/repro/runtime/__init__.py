@@ -74,10 +74,12 @@ def make_engine(name: str = "threaded", backend: str | None = None, **kwargs):
 
     ``kwargs`` are forwarded to the engine constructor (``observe``,
     ``recv_timeout``, ...; ``start_method``, ``pool``, ``affinity`` and
-    ``payload_slab`` for the multiprocess backend).  The variant name
-    ``"multiprocess+pool"`` is shorthand for ``("multiprocess",
-    pool=True)`` — workers boot once and are reused across every
-    subsequent ``run()`` on the same engine (close with
+    ``payload_slab`` for the multiprocess backend).  Both multiprocess
+    names run every system through one worker-pool job path and differ
+    only in the pool's lifetime: ``"multiprocess"`` uses a pool once
+    per ``run()``, while ``"multiprocess+pool"`` is shorthand for
+    ``("multiprocess", pool=True)`` — workers boot once and are reused
+    across every subsequent ``run()`` on the same engine (close with
     ``engine.close()`` or use the engine as a context manager).
     ``"socket"`` runs ranks in TCP-connected worker daemons — loopback
     daemons it spawns itself by default, or external ones via

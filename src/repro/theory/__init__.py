@@ -36,7 +36,6 @@ from repro.theory.enumerate import (
     count_interleavings,
     count_trace_classes,
     enumerate_interleavings,
-    run_prefix,
 )
 from repro.theory.foata import (
     FoataForm,
@@ -65,7 +64,6 @@ __all__ = [
     "enumerate_interleavings",
     "count_interleavings",
     "count_trace_classes",
-    "run_prefix",
     "FoataForm",
     "foata_normal_form",
     "frontier",

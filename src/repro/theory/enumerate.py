@@ -28,42 +28,15 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.runtime.engine_cooperative import CooperativeEngine
-from repro.runtime.schedulers import (
-    PrefixPolicy,
-    RecordingPolicy,
-    SchedulingPolicy,
-)
-from repro.runtime.system import RunResult, System
+from repro.runtime.schedulers import PrefixPolicy, RecordingPolicy
+from repro.runtime.system import System
 from repro.theory.determinacy import state_digest
 
 __all__ = [
     "EnumerationResult",
     "enumerate_interleavings",
     "count_interleavings",
-    "run_prefix",
 ]
-
-
-def run_prefix(
-    system: System,
-    prefix: list[int],
-    tail: SchedulingPolicy | None = None,
-    trace: bool = False,
-    max_actions: int | None = None,
-) -> tuple[list[int], RunResult]:
-    """One run forced through ``prefix``, completed by a deterministic
-    tail (min-rank unless given); returns the full schedule and result.
-
-    The stateless re-execution primitive shared by the enumerators here
-    and the schedule explorer's prefix minimiser / replay
-    (:mod:`repro.explore.report`): a recorded branch point is revisited
-    by replaying the path to it, no engine checkpointing needed.
-    """
-    recorder = RecordingPolicy(PrefixPolicy(prefix, tail))
-    run = CooperativeEngine(
-        recorder, trace=trace, max_actions=max_actions
-    ).run(system)
-    return [choice for choice, _ in recorder.log], run
 
 
 class EnumerationOverflow(ReproError):

@@ -38,6 +38,17 @@ def exchange_system():
     return system
 
 
+def _refuse_rebuild():
+    raise RuntimeError("store value cannot be rebuilt in the worker")
+
+
+class Unbuildable:
+    """Pickles fine in the parent, fails to unpickle in the worker."""
+
+    def __reduce__(self):
+        return (_refuse_rebuild, ())
+
+
 def run_exchange(engine):
     result = engine.run(exchange_system())
     assert bitwise_equal_arrays(result.stores[0]["got"], np.full(64, 4.0))
@@ -97,6 +108,19 @@ class TestContract:
         t = engine.last_timing
         assert set(t) == {"startup_s", "run_s", "total_s"}
         assert 0 <= t["run_s"] <= t["total_s"]
+
+    def test_timing_split_when_startup_fails(self):
+        # The rank fails before the start barrier: the whole run was
+        # startup, and run_s is zero rather than negative.
+        system = System(
+            [ProcessSpec(0, lambda ctx: None, store={"x": Unbuildable()})]
+        )
+        engine = MultiprocessEngine(start_method="fork")
+        with pytest.raises(ProcessFailedError):
+            engine.run(system)
+        t = engine.last_timing
+        assert t["run_s"] == 0.0
+        assert t["startup_s"] == t["total_s"] > 0
 
     def test_trace_refused_up_front(self):
         with pytest.raises(RuntimeModelError, match="trace"):

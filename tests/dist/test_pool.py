@@ -7,6 +7,7 @@ repeated dispatches, worker crashes, and system-shape changes.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -70,9 +71,10 @@ class TestPooledRuns:
     def test_make_engine_pool_variant(self):
         engine = make_engine("multiprocess+pool", start_method="fork")
         try:
-            assert engine._pool_opt is True
-            result = engine.run(exchange_system())
-            assert len(result.returns) == 2
+            for _ in range(2):
+                result = engine.run(exchange_system())
+                assert len(result.returns) == 2
+            assert engine._pool.spawned == 2  # workers persist across runs
         finally:
             engine.close()
 
@@ -106,6 +108,28 @@ class TestCrashRecovery:
             assert len(engine._pool) < 2
             run_pair_equal(engine.run(exchange_system()), good)
             assert engine._pool.spawned == 3
+
+    def test_cold_fork_pool_crash_fails_fast(self):
+        # Workers boot before the run creates its pipes, so none holds
+        # a pipe end of another rank: the crashed rank's reader sees EOF
+        # at once instead of waiting out crash_grace.
+        def crasher(ctx):
+            if ctx.rank == 0:
+                os._exit(17)
+            ctx.send(f"r{ctx.rank}", 1.0)
+            return ctx.recv(f"r{(ctx.rank - 1) % ctx.nprocs}")
+
+        system = System([ProcessSpec(r, crasher) for r in range(2)])
+        for r in range(2):
+            system.add_channel(f"r{r}", r, (r + 1) % 2)
+
+        with MultiprocessEngine(
+            start_method="fork", pool=True, crash_grace=8.0
+        ) as engine:
+            t0 = time.perf_counter()
+            with pytest.raises(ProcessFailedError):
+                engine.run(system)
+            assert time.perf_counter() - t0 < 2.0
 
     def test_body_exception_does_not_kill_workers(self):
         def raiser(ctx):
@@ -150,19 +174,24 @@ class TestWorkerPoolDirect:
     def test_ensure_and_reap(self):
         pool = WorkerPool(start_method="fork")
         try:
-            slots = pool.ensure(2)
-            assert len(slots) == 2 and len(pool) == 2
+            pool.ensure(2)
+            assert len(pool) == 2
+            slots = pool.checkout(2)
+            pool.checkin(slots)
             slots[0].proc.terminate()
             slots[0].proc.join()
             assert pool.reap() == 1
-            assert len(pool.ensure(2)) == 2
+            pool.ensure(2)
+            assert len(pool) == 2
             assert pool.spawned == 3
         finally:
             pool.shutdown()
 
     def test_shutdown_joins_workers(self):
         pool = WorkerPool(start_method="fork")
-        procs = [slot.proc for slot in pool.ensure(2)]
+        slots = pool.checkout(2)
+        procs = [slot.proc for slot in slots]
+        pool.checkin(slots)
         pool.shutdown()
         assert all(not p.is_alive() for p in procs)
         assert live_segment_names() == frozenset()

@@ -24,6 +24,8 @@ from repro.dist.serve import (
 )
 from repro.dist.shm import live_segment_names
 from repro.errors import ProcessFailedError
+from repro.explore import InjectedKill, apply_faults, parse_fault_plan
+from repro.explore.fixtures import prodcons_system
 from repro.runtime import ProcessSpec, System
 
 
@@ -139,6 +141,21 @@ class TestServing:
         with pytest.raises(ServerClosedError):
             server.submit(sleeper_system(0.0))
         server.close()  # idempotent
+
+    def test_failed_job_keeps_fault_provenance(self):
+        # A planted fault's step and id survive the serving path exactly
+        # as they do a dedicated engine run.
+        system = apply_faults(
+            prodcons_system(), parse_fault_plan("kill:0@2")
+        )
+        with JobServer(pool_size=2) as server:
+            fut = server.submit(system)
+            with pytest.raises(ProcessFailedError) as info:
+                fut.result(timeout=60)
+        assert info.value.rank == 0
+        assert info.value.step == 2
+        assert info.value.fault_id == "kill:0@2"
+        assert isinstance(info.value.original, InjectedKill)
 
     def test_oversized_job_rejected_up_front(self):
         with JobServer(pool_size=2) as server:
